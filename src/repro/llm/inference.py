@@ -323,11 +323,12 @@ class InferenceModel:
         """Incremental forward: embed only the new ``tokens``, attend over ``cache``.
 
         ``tokens`` is ``(batch, n_new)`` (or 1-D for a single sequence) of new
-        token ids; ``cache`` is a :class:`repro.serve.KVCache` holding the
-        already-processed context of each sequence.  ``rows`` selects which
-        cache slots the batch rows correspond to (all slots by default), so a
-        continuous-batching engine can prefill one request and batch-decode
-        another set in interleaved calls.  Keys/values of the new positions
+        token ids; ``cache`` is a :class:`repro.serve.PagedKVCache` or a
+        :class:`repro.serve.KVCache` holding the already-processed context of
+        each sequence.  ``rows`` selects which cache slots the batch rows
+        correspond to (all slots by default), so a continuous-batching engine
+        can prefill one request and batch-decode another set in interleaved
+        calls.  Keys/values of the new positions
         are appended to the cache — through the cache's quantiser when one is
         configured — and the cache lengths advance by ``n_new``.
 

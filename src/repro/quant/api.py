@@ -156,6 +156,19 @@ class Quantizer(abc.ABC):
         """
         return self.quantize(x, axis=axis, rng=rng).dequantize()
 
+    @property
+    def batch_separable(self) -> bool:
+        """Whether quantising a stack of tensors equals quantising each alone.
+
+        True when every scale the format derives lives inside one vector
+        along the quantisation ``axis`` and rounding is deterministic:
+        ``quantize_dequantize(np.stack(xs))`` is then bit-identical to
+        stacking ``quantize_dequantize(x)`` per ``x``, so a caller may batch
+        independent tensors into one call.  The default is the safe
+        ``False``; formats whose scales span the tensor keep it.
+        """
+        return False
+
     # --------------------------------------------------------------- costing
     def bits_per_element(self) -> float:
         """Average storage bits per element (Table I "Equivalent Bit-Width")."""

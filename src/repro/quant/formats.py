@@ -35,6 +35,7 @@ from repro.core.microscaling import (
     MXConfig,
     quantize_mx,
 )
+from repro.core.rounding import RoundingMode
 from repro.quant.api import QuantizedTensor, Quantizer
 from repro.quant.registry import UnknownFormatError, register_format
 
@@ -112,6 +113,10 @@ class BBFPQuantizer(Quantizer):
     def decode(self, payload):
         return payload.dequantize()
 
+    @property
+    def batch_separable(self):
+        return _rounds_deterministically(self.config)
+
 
 @register_format("bfp", BFPConfig, example_specs=("bfp4", "bfp6", "bfp8", "bfp8@b32"))
 class BFPQuantizer(Quantizer):
@@ -134,6 +139,10 @@ class BFPQuantizer(Quantizer):
 
     def decode(self, payload):
         return payload.dequantize()
+
+    @property
+    def batch_separable(self):
+        return _rounds_deterministically(self.config)
 
 
 @register_format("bie", BiEConfig, example_specs=("bie4", "bie6", "bie4@k3"))
@@ -167,6 +176,10 @@ class BiEQuantizer(Quantizer):
 
     def decode(self, payload):
         return payload.dequantize()
+
+    @property
+    def batch_separable(self):
+        return _rounds_deterministically(self.config)
 
 
 @register_format("int", IntQuantConfig, example_specs=("int4", "int8", "int8@pc", "int4@b32"))
@@ -244,6 +257,11 @@ class IntQuantizer(Quantizer):
     def decode(self, payload):
         return payload["codes"].astype(np.float64) * payload["scale"]
 
+    @property
+    def batch_separable(self):
+        # Per-tensor and per-channel scales reduce over every leading axis.
+        return self.config.granularity is Granularity.PER_BLOCK
+
     def payload_memory_bits(self, payload):
         # Codes plus one FP16 scale per shared-scale group (int_quantize
         # returns the scale broadcast to the codes' shape; the stored count
@@ -312,6 +330,10 @@ class MinifloatQuantizer(Quantizer):
     def quantize_dequantize(self, x, axis=-1, rng=None):
         return minifloat_quantize_dequantize(x, self.config)
 
+    @property
+    def batch_separable(self):
+        return True
+
 
 @register_format("mx", MXConfig, example_specs=("mxfp4", "mxfp6_e2m3", "mxfp6_e3m2", "mxfp8"))
 class MXQuantizer(Quantizer):
@@ -367,6 +389,16 @@ class MXQuantizer(Quantizer):
 
     def decode(self, payload):
         return payload.dequantize()
+
+    @property
+    def batch_separable(self):
+        return True
+
+
+def _rounds_deterministically(config) -> bool:
+    # Stochastic rounding draws a fresh default_rng(0) per call when no rng is
+    # given, so one batched call sees other draws than per-slice calls.
+    return config.rounding is not RoundingMode.STOCHASTIC
 
 
 def _malformed(base: str, expected: str):

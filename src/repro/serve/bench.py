@@ -225,9 +225,9 @@ def run(fast=None, kv_specs=None, num_requests=None, arrival_rate=None,
             "Every row replays the identical Poisson trace; only the KV-cache storage format "
             "changes.  Quantised KV shrinks the dominant per-request memory (kv_bits_per_token) "
             "at a small perplexity cost — the serving-side analogue of the paper's Table II "
-            "weight/activation sweep.  Throughput differences between rows are within "
-            "measurement noise here because the fake-quantised cache stores dequantised "
-            "values (and vanish entirely under the deterministic virtual clock); the "
+            "weight/activation sweep.  On the wall clock, quantised rows also pay the "
+            "fake quantiser's own cost on every append (perfbench/ measures it); under "
+            "the deterministic virtual clock throughput differences vanish.  The "
             "memory column is what a deployment trades against kv_perplexity."
         ),
         metadata={

@@ -72,6 +72,10 @@ class _KVCacheBase:
             from repro.quant import get_quantizer
 
             self.quantizer = get_quantizer(kv_spec)
+        # Fixed by the format, so decided once: a wrapper installed over
+        # ``quantizer`` later (a tracing proxy) keeps the same path.
+        self._batch_separable = (self.quantizer is not None
+                                 and self.quantizer.batch_separable)
         self._lengths = np.zeros(self.batch_size, dtype=np.int64)
 
     # -------------------------------------------------------------- identity
@@ -85,19 +89,27 @@ class _KVCacheBase:
         """Valid positions per slot (do not mutate; use append/advance/reset)."""
         return self._lengths
 
-    def _quantize_row(self, k_row: np.ndarray, v_row: np.ndarray) -> tuple:
-        """Fake-quantise one sequence's appended K/V along ``head_dim``.
+    def _quantize_rows(self, k_new: np.ndarray, v_new: np.ndarray) -> tuple:
+        """Fake-quantise every row's appended K/V along ``head_dim``.
 
-        Applied one row (sequence) at a time: co-batched sequences never
-        share a quantisation scale, so a request's cached K/V does not depend
-        on which requests happen to decode alongside it.  (For block formats
-        this is a no-op split — their scales live within one position; for
-        per-tensor INT the scale spans each row's appended chunk.)
+        Co-batched sequences never share a quantisation scale, so a request's
+        cached K/V does not depend on which requests happen to decode
+        alongside it.  When the format is
+        :attr:`~repro.quant.Quantizer.batch_separable` (block formats,
+        minifloats, per-block INT: every scale lives inside one ``head_dim``
+        vector) all rows and both sides go through one quantiser call, which
+        keeps that promise bit for bit.  Otherwise (per-tensor or per-channel
+        INT, whose scale spans a row's chunk; stochastic rounding; the
+        outlier baselines) each row's K and V are quantised on their own.
         """
-        if self.quantizer is None:
-            return k_row, v_row
-        return (self.quantizer.quantize_dequantize(k_row, axis=-1),
-                self.quantizer.quantize_dequantize(v_row, axis=-1))
+        quantizer = self.quantizer
+        if quantizer is None:
+            return k_new, v_new
+        if self._batch_separable:
+            kv = quantizer.quantize_dequantize(np.stack((k_new, v_new)), axis=-1)
+            return kv[0], kv[1]
+        return (np.stack([quantizer.quantize_dequantize(k, axis=-1) for k in k_new]),
+                np.stack([quantizer.quantize_dequantize(v, axis=-1) for v in v_new]))
 
     # --------------------------------------------------------------- costing
     def bits_per_token(self) -> float:
@@ -163,7 +175,7 @@ class KVCache(_KVCacheBase):
         one forward step appends at the same offset; :meth:`advance` moves the
         offsets once the step has run all layers.  When a quantiser is
         configured the values are quantise-dequantised along ``head_dim``
-        before storage (see :meth:`_KVCacheBase._quantize_row`).
+        before storage (see :meth:`_KVCacheBase._quantize_rows`).
         """
         rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
         n_new = k_new.shape[2]
@@ -173,11 +185,12 @@ class KVCache(_KVCacheBase):
                 f"append of {n_new} position(s) overflows the cache capacity "
                 f"{self.max_seq_len}"
             )
-        for index, row in enumerate(rows):
-            k_row, v_row = self._quantize_row(k_new[index], v_new[index])
-            stop = starts[index] + n_new
-            self._k[layer][row, :, starts[index]:stop] = k_row
-            self._v[layer][row, :, starts[index]:stop] = v_row
+        k_q, v_q = self._quantize_rows(k_new, v_new)
+        # the heads slice splits the two index arrays, so the indexed slab is
+        # (rows, n_new, heads, head_dim)
+        positions = starts[:, None] + np.arange(n_new)
+        self._k[layer][rows[:, None], :, positions] = k_q.transpose(0, 2, 1, 3)
+        self._v[layer][rows[:, None], :, positions] = v_q.transpose(0, 2, 1, 3)
 
     def context(self, layer: int, rows, context_len: int) -> tuple:
         """Return ``(k, v)`` of shape ``(len(rows), n_heads, context_len, head_dim)``.
@@ -298,6 +311,10 @@ class PagedKVCache(_KVCacheBase):
         self.pool = BlockPool(config, self.num_blocks, self.page_size)
         self.index = RadixIndex(self.pool)
         self._tables = [[] for _ in range(self.batch_size)]
+        # ``_tables`` padded into one array, so append/context address every
+        # row's pages with one fancy index; entries past a table's length are
+        # don't-care (they only ever read positions the caller masks).
+        self._page_ids = np.zeros((self.batch_size, blocks_per_slot), dtype=np.int64)
 
     def __repr__(self) -> str:
         return (f"PagedKVCache(batch_size={self.batch_size}, max_seq_len={self.max_seq_len}, "
@@ -322,7 +339,9 @@ class PagedKVCache(_KVCacheBase):
         """Grow ``row``'s block table to cover positions ``[0, upto)``."""
         table = self._tables[row]
         while len(table) * self.page_size < upto:
-            table.append(self._alloc_block())
+            block = self._alloc_block()
+            self._page_ids[row, len(table)] = block
+            table.append(block)
 
     def _ensure_writable(self, row: int, start: int, n_new: int) -> None:
         """Copy-on-write: privatise every shared page the write will touch.
@@ -338,6 +357,7 @@ class PagedKVCache(_KVCacheBase):
                 clone = self.pool.copy_block(table[page])
                 self.pool.release(table[page])
                 table[page] = clone
+                self._page_ids[row, page] = clone
 
     # ------------------------------------------------------------ read/write
     def append(self, layer: int, rows, k_new: np.ndarray, v_new: np.ndarray) -> None:
@@ -346,7 +366,8 @@ class PagedKVCache(_KVCacheBase):
         Same contract as :meth:`KVCache.append`; pages are allocated on
         demand when the first layer of a step writes past the table's
         coverage (all layers of one step share the same offsets, so the
-        allocation happens exactly once).
+        allocation happens exactly once).  Every row and position is then
+        written with one fancy-index scatter per side.
         """
         rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
         n_new = k_new.shape[2]
@@ -356,64 +377,46 @@ class PagedKVCache(_KVCacheBase):
                 f"append of {n_new} position(s) overflows the cache capacity "
                 f"{self.max_seq_len}"
             )
-        prof = self.profiler
-        for index, row in enumerate(rows):
-            row = int(row)
-            start = int(starts[index])
+        for row, start in zip(rows.tolist(), starts.tolist()):
             self._ensure_capacity(row, start + n_new)
             self._ensure_writable(row, start, n_new)
-            if prof is not None:
-                _t0 = time.perf_counter()
-                k_row, v_row = self._quantize_row(k_new[index], v_new[index])
-                prof.add(QUANT_APPEND, time.perf_counter() - _t0)
-            else:
-                k_row, v_row = self._quantize_row(k_new[index], v_new[index])
-            table = self._tables[row]
-            offset = 0
-            while offset < n_new:
-                position = start + offset
-                page, within = divmod(position, self.page_size)
-                take = min(self.page_size - within, n_new - offset)
-                block = table[page]
-                self.pool.k_store[layer][block][:, within:within + take] = \
-                    k_row[:, offset:offset + take]
-                self.pool.v_store[layer][block][:, within:within + take] = \
-                    v_row[:, offset:offset + take]
-                offset += take
+        prof = self.profiler
+        if prof is not None:
+            _t0 = time.perf_counter()
+            k_q, v_q = self._quantize_rows(k_new, v_new)
+            prof.add(QUANT_APPEND, time.perf_counter() - _t0)
+        else:
+            k_q, v_q = self._quantize_rows(k_new, v_new)
+        pages, within = np.divmod(starts[:, None] + np.arange(n_new), self.page_size)
+        blocks = self._page_ids[rows[:, None], pages]
+        # pages are position-major: (rows, n_new) index pairs select
+        # (rows, n_new, heads, head_dim) slabs
+        self.pool.k_store[layer][blocks, within] = k_q.transpose(0, 2, 1, 3)
+        self.pool.v_store[layer][blocks, within] = v_q.transpose(0, 2, 1, 3)
 
     def context(self, layer: int, rows, context_len: int) -> tuple:
         """Gather ``(k, v)`` of shape ``(len(rows), n_heads, context_len, head_dim)``.
 
-        Pages are gathered in table order into a dense array — the shape
-        attention consumes.  Positions past a row's coverage come back as
-        zeros; like the dense cache's stale tail they are masked by the
+        One fancy-index gather per side pulls every row's pages in table
+        order; position-major pages make the result a free reshape away from
+        ``(rows, positions, heads, head_dim)``, and the returned arrays are
+        transposed views of it.  Positions past a row's coverage hold stale
+        values; like the dense cache's stale tail they are masked by the
         caller's causal mask.
         """
         prof = self.profiler
         if prof is not None:
             _t0 = time.perf_counter()
         rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
-        config = self.config
-        shape = (len(rows), config.n_heads, context_len, config.head_dim)
-        k_out = np.zeros(shape)
-        v_out = np.zeros(shape)
         pages = -(-context_len // self.page_size)
-        for index, row in enumerate(rows):
-            table = self._tables[int(row)][:pages]
-            if not table:
-                continue
-            take = min(len(table) * self.page_size, context_len)
-            # one fancy-index gather per side: (n_pages, heads, page, hd) ->
-            # (heads, n_pages * page, hd), then trim to the context window
-            k_pages = self.pool.k_store[layer][table]
-            v_pages = self.pool.v_store[layer][table]
-            k_out[index, :, :take] = k_pages.transpose(1, 0, 2, 3).reshape(
-                config.n_heads, -1, config.head_dim)[:, :take]
-            v_out[index, :, :take] = v_pages.transpose(1, 0, 2, 3).reshape(
-                config.n_heads, -1, config.head_dim)[:, :take]
+        blocks = self._page_ids[rows, :pages]
+        shape = (len(rows), pages * self.page_size, self.config.n_heads,
+                 self.config.head_dim)
+        k = self.pool.k_store[layer][blocks].reshape(shape)[:, :context_len]
+        v = self.pool.v_store[layer][blocks].reshape(shape)[:, :context_len]
         if prof is not None:
             prof.add(PAGE_GATHER, time.perf_counter() - _t0)
-        return k_out, v_out
+        return k.transpose(0, 2, 1, 3), v.transpose(0, 2, 1, 3)
 
     def advance(self, rows, n_new: int) -> None:
         """Commit ``n_new`` appended positions of ``rows`` (once per forward step)."""
@@ -455,6 +458,7 @@ class PagedKVCache(_KVCacheBase):
             self.reset(rows=[row])
         matched = self.index.match(tokens, max_tokens=len(tokens) - 1)
         self._tables[row] = self.index.acquire(matched)
+        self._page_ids[row, :len(matched)] = self._tables[row]
         self._lengths[row] = len(matched) * self.page_size
         return len(matched) * self.page_size
 
@@ -490,6 +494,7 @@ class PagedKVCache(_KVCacheBase):
             self.reset(rows=[dst_row])
         self._tables[dst_row] = [self.pool.retain(block)
                                  for block in self._tables[src_row]]
+        self._page_ids[dst_row] = self._page_ids[src_row]
         self._lengths[dst_row] = self._lengths[src_row]
 
     # -------------------------------------------------- admission accounting

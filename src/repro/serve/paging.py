@@ -43,9 +43,11 @@ class BlockPool:
     """Fixed-size pages of per-layer K/V storage with refcounted allocation.
 
     One block holds ``page_size`` token positions for *every* decoder layer
-    (layout per layer: ``(num_blocks, n_heads, page_size, head_dim)``), so a
-    sequence's block table is one list of ids, not one per layer.  Blocks are
-    allocated lowest-id-first from a heap so allocation order is
+    (layout per layer: ``(num_blocks, page_size, n_heads, head_dim)``), so a
+    sequence's block table is one list of ids, not one per layer.  Pages are
+    position-major: gathering a row's pages yields ``(pages, page_size,
+    heads, head_dim)``, which reshapes for free into consecutive positions.
+    Blocks are allocated lowest-id-first from a heap so allocation order is
     deterministic, and freed back when their reference count drops to zero.
 
     >>> from repro.llm.config import ModelConfig
@@ -69,7 +71,7 @@ class BlockPool:
         self.config = config
         self.num_blocks = int(num_blocks)
         self.page_size = int(page_size)
-        shape = (self.num_blocks, config.n_heads, self.page_size, config.head_dim)
+        shape = (self.num_blocks, self.page_size, config.n_heads, config.head_dim)
         self.k_store = [np.zeros(shape) for _ in range(config.n_layers)]
         self.v_store = [np.zeros(shape) for _ in range(config.n_layers)]
         self._refcounts = np.zeros(self.num_blocks, dtype=np.int64)

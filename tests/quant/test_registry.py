@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.bbfp import BBFPConfig
@@ -10,6 +11,7 @@ from repro.core.blockfp import BFPConfig
 from repro.core.floatspec import FP8_E4M3, FP16, FloatSpec
 from repro.core.integer import Granularity, IntQuantConfig
 from repro.core.microscaling import MXFP4, MXFP6_E3M2, MXConfig
+from repro.core.rounding import RoundingMode
 from repro.quant import (
     Quantizer,
     UnknownFormatError,
@@ -188,3 +190,23 @@ class TestMemoization:
         assert custom.name == "MyCustomFP8"
         assert canonical is not custom
         assert canonical.config == custom.config
+
+
+class TestBatchSeparable:
+    @pytest.mark.parametrize(
+        "spec", ALL_EXAMPLE_SPECS + [BBFPConfig(4, 2, rounding=RoundingMode.STOCHASTIC)]
+    )
+    def test_property_matches_stacked_versus_per_slice_quantisation(self, spec):
+        """True exactly when one call on a stack equals per-slice calls bit for bit."""
+        rng = np.random.default_rng(0)
+        # (K/V side, rows, heads, positions, head_dim): a row slice is 240
+        # elements, so Olive's 128-element groups straddle slices
+        stack = rng.standard_normal((2, 3, 2, 3, 40))
+        stack[1, 2] *= 1000.0  # one outlier-heavy slice
+        quantizer = get_quantizer(spec)
+        stacked = quantizer.quantize_dequantize(stack, axis=-1)
+        per_slice = np.stack([
+            np.stack([quantizer.quantize_dequantize(row, axis=-1) for row in side])
+            for side in stack
+        ])
+        assert quantizer.batch_separable == np.array_equal(stacked, per_slice)

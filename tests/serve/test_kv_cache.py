@@ -1,4 +1,4 @@
-"""Tests for the pre-allocated (optionally quantised) K/V cache."""
+"""Tests for the pre-allocated and paged (optionally quantised) K/V caches."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.quant import get_quantizer
-from repro.serve.kv_cache import KVCache
+from repro.serve.kv_cache import KVCache, PagedKVCache
 
 
 class TestConstruction:
@@ -83,6 +83,25 @@ class TestQuantisedStorage:
         np.testing.assert_array_equal(k_ctx[0], quantizer.quantize_dequantize(k, axis=-1)[0])
         np.testing.assert_array_equal(v_ctx[0], quantizer.quantize_dequantize(v, axis=-1)[0])
         assert not np.array_equal(k_ctx[0], k[0])  # int4 storage is lossy
+
+    @pytest.mark.parametrize("cache_cls", [KVCache, PagedKVCache])
+    @pytest.mark.parametrize("kv_spec", ["int8", "int8@pc"])
+    def test_co_batched_rows_never_share_a_scale(self, tiny_model_config, cache_cls,
+                                                 kv_spec):
+        """Scales spanning a row stay per row (and per side) in a batched append."""
+        cache = cache_cls(tiny_model_config, batch_size=2, kv_spec=kv_spec)
+        rng = np.random.default_rng(1)
+        shape = (2, tiny_model_config.n_heads, 3, tiny_model_config.head_dim)
+        magnitude = np.array([1.0, 1000.0])[:, None, None, None]
+        k = rng.standard_normal(shape) * magnitude
+        v = 10.0 * rng.standard_normal(shape) * magnitude
+        cache.append(0, [0, 1], k, v)
+        cache.advance([0, 1], 3)
+        quantizer = get_quantizer(kv_spec)
+        k_ctx, v_ctx = cache.context(0, [0, 1], 3)
+        for row in range(2):
+            np.testing.assert_array_equal(k_ctx[row], quantizer.quantize_dequantize(k[row]))
+            np.testing.assert_array_equal(v_ctx[row], quantizer.quantize_dequantize(v[row]))
 
     def test_memory_accounting_follows_the_format(self, tiny_model_config):
         fp = KVCache(tiny_model_config, batch_size=1)

@@ -221,21 +221,37 @@ class TestPagedKVCache:
         np.testing.assert_array_equal(v_ctx, v)
         assert cache.pages_in_use == 6
 
-    def test_matches_dense_cache_values_exactly(self, tiny_model_config):
-        dense = KVCache(tiny_model_config, batch_size=1)
-        paged = PagedKVCache(tiny_model_config, batch_size=1, page_size=4)
-        for step, n_new in enumerate((7, 1, 1, 5)):
-            k, v = self._kv(tiny_model_config, 1, n_new, seed=step)
+    @pytest.mark.parametrize("kv_spec", [None, "BBFP(4,2)", "int8"])
+    @pytest.mark.parametrize("page_size", [1, 3, 4, 16])
+    def test_matches_dense_cache_values_exactly(self, tiny_model_config, kv_spec,
+                                                page_size):
+        dense = KVCache(tiny_model_config, batch_size=2, kv_spec=kv_spec)
+        paged = PagedKVCache(tiny_model_config, batch_size=2, page_size=page_size,
+                             kv_spec=kv_spec)
+        # single-row prefills, then batched appends at unequal offsets; the
+        # 5-position chunk starts mid-page (row 0 at 14) and crosses pages
+        steps = [([0], 13), ([1], 2), ([0, 1], 1), ([0, 1], 5), ([1, 0], 1),
+                 ([0], 5), ([0], 1), ([0], 1)]
+        for step, (rows, n_new) in enumerate(steps):
+            k, v = self._kv(tiny_model_config, len(rows), n_new, seed=step)
             for layer in range(tiny_model_config.n_layers):
-                dense.append(layer, [0], k, v)
-                paged.append(layer, [0], k, v)
-            dense.advance([0], n_new)
-            paged.advance([0], n_new)
+                dense.append(layer, rows, k, v)
+                paged.append(layer, rows, k, v)
+            dense.advance(rows, n_new)
+            paged.advance(rows, n_new)
+        lengths = paged.lengths.tolist()
+        assert lengths == dense.lengths.tolist() == [27, 9]
         for layer in range(tiny_model_config.n_layers):
-            k_d, v_d = dense.context(layer, [0], 14)
-            k_p, v_p = paged.context(layer, [0], 14)
-            np.testing.assert_array_equal(k_p, k_d)
-            np.testing.assert_array_equal(v_p, v_d)
+            for rows in ([0, 1], [1, 0], [1]):
+                context_len = max(lengths[row] for row in rows)
+                k_d, v_d = dense.context(layer, rows, context_len)
+                k_p, v_p = paged.context(layer, rows, context_len)
+                assert k_p.shape == k_d.shape and v_p.shape == v_d.shape
+                for index, row in enumerate(rows):  # past coverage is masked
+                    np.testing.assert_array_equal(k_p[index, :, :lengths[row]],
+                                                  k_d[index, :, :lengths[row]])
+                    np.testing.assert_array_equal(v_p[index, :, :lengths[row]],
+                                                  v_d[index, :, :lengths[row]])
 
     def test_prefix_reuse_skips_full_pages_only(self, tiny_model_config):
         cache = PagedKVCache(tiny_model_config, batch_size=2, page_size=4)
