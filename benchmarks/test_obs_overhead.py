@@ -66,7 +66,7 @@ def _decode_tokens_per_second(model, prompts, obs) -> float:
     """
     engine = ServeEngine(
         model,
-        EngineConfig(max_batch_size=4, kv_backend="paged", kv_page_size=8),
+        EngineConfig(max_batch_size=4, kv_page_size=8),
         clock=VirtualClock(time_per_token=1e-4),
         obs=obs,
     )

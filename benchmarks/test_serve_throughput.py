@@ -20,7 +20,7 @@ from repro.analysis.reporting import ExperimentResult
 from repro.llm.config import ModelConfig
 from repro.llm.inference import InferenceModel
 from repro.llm.transformer import TransformerLM
-from repro.serve.kv_cache import KVCache
+from repro.serve.kv_cache import PagedKVCache
 
 from conftest import emit
 
@@ -47,7 +47,7 @@ def _decode_uncached(model, prompt, n_tokens):
 
 
 def _decode_cached(model, prompt, n_tokens):
-    cache = KVCache(model.config, batch_size=1)
+    cache = PagedKVCache(model.config, batch_size=1)
     logits = model.forward_step(np.array(prompt, dtype=np.int64)[None, :], cache)
     tokens = list(prompt) + [int(np.argmax(logits[0, -1]))]
     for _ in range(n_tokens - 1):
@@ -95,16 +95,18 @@ def test_kv_cached_decode_is_at_least_5x_faster(bench_model):
 
 
 def test_forward_step_throughput(benchmark, bench_model):
-    """pytest-benchmark timing of one cached decode step at a warm context."""
-    cache = KVCache(bench_model.config, batch_size=1)
+    """pytest-benchmark timing of one cached decode step at a warm context.
+
+    Every round decodes one token on a freshly prefilled cache (the untimed
+    setup), so each timed step attends over the same ``PROMPT_LEN``-token
+    context whatever pages the pool hands out.
+    """
     prompt = np.arange(PROMPT_LEN, dtype=np.int64)[None, :] % bench_model.config.vocab_size
-    bench_model.forward_step(prompt, cache)
     token = np.array([[1]], dtype=np.int64)
 
-    def step():
-        lengths_before = int(cache.lengths[0])
-        bench_model.forward_step(token, cache)
-        cache.reset()
-        cache.advance([0], lengths_before)  # keep the context length constant
+    def prefilled():
+        cache = PagedKVCache(bench_model.config, batch_size=1)
+        bench_model.forward_step(prompt, cache)
+        return (token, cache), {}
 
-    benchmark(step)
+    benchmark.pedantic(bench_model.forward_step, setup=prefilled, rounds=100)

@@ -165,8 +165,7 @@ def _cmd_serve_bench(args) -> int:
                              num_requests=args.num_requests,
                              arrival_rate=args.arrival_rate,
                              virtual_clock=True if args.virtual_clock else None,
-                             kv_page_size=args.kv_page_size,
-                             kv_backend=args.kv_backend)
+                             kv_page_size=args.kv_page_size)
     print(result.to_text())
     if args.output_dir:
         save_result(result, args.output_dir)
@@ -283,13 +282,8 @@ def _cmd_gateway(args) -> int:
     model_name = gateway_model_name(fast)
     model = load_inference_model(model_name, corpus=default_corpus(fast=fast))
     engine_config = default_engine_config(fast)
-    engine_overrides = {}
-    if args.kv_backend is not None:
-        engine_overrides["kv_backend"] = args.kv_backend
     if args.kv_page_size is not None:
-        engine_overrides["kv_page_size"] = args.kv_page_size
-    if engine_overrides:
-        engine_config = dataclasses.replace(engine_config, **engine_overrides)
+        engine_config = dataclasses.replace(engine_config, kv_page_size=args.kv_page_size)
     gateway_config = default_gateway_config(fast, args.shed_policy)
     if args.max_queue_depth is not None:
         gateway_config = dataclasses.replace(gateway_config,
@@ -299,7 +293,7 @@ def _cmd_gateway(args) -> int:
                                              default_timeout_s=args.timeout_s)
     engine = ServeEngine(model, engine_config, clock=WallClock())
     gateway = Gateway(engine, gateway_config)
-    print(f"serving {model_name} ({engine_config.kv_backend} KV backend, "
+    print(f"serving {model_name} (KV page size {engine_config.kv_page_size}, "
           f"shed policy {gateway_config.shed_policy}); SIGTERM drains gracefully")
     asyncio.run(serve_gateway(gateway, host=args.host, port=args.port))
     return 0
@@ -373,13 +367,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--virtual-clock", action="store_true",
                          help="deterministic token-rate clock instead of wall time "
                               "(the default in fast mode)")
-    p_serve.add_argument("--kv-backend", choices=("paged", "contiguous"), default=None,
-                         help="KV cache layout: paged (block pool + radix prefix "
-                              "sharing, the default) or contiguous (dense fallback)")
     p_serve.add_argument("--kv-page-size", type=_parse_page_size, default=None,
-                         help="tokens per KV page under the paged backend "
-                              "(fast mode defaults to a small page so paging "
-                              "paths are exercised)")
+                         help="tokens per KV page (fast mode defaults to a small "
+                              "page so paging paths are exercised; a page of at "
+                              "least max_seq_len disables prefix sharing)")
     p_serve.add_argument("--output-dir", default=None,
                          help="also save the result as JSON + text under this directory")
     p_serve.set_defaults(func=_cmd_serve_bench)
@@ -458,10 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="bounded engine queue beyond which requests shed")
     p_gateway.add_argument("--timeout-s", type=float, default=None,
                            help="default per-request deadline in seconds")
-    p_gateway.add_argument("--kv-backend", choices=("paged", "contiguous"), default=None,
-                           help="KV cache layout for the served engine")
     p_gateway.add_argument("--kv-page-size", type=_parse_page_size, default=None,
-                           help="tokens per KV page under the paged backend")
+                           help="tokens per KV page of the served engine")
     p_gateway.set_defaults(func=_cmd_gateway)
 
     p_gwbench = sub.add_parser(

@@ -279,7 +279,6 @@ def run(fast=None, policies=None, replica_counts=None, kv_specs=None,
             "workload": {"kind": workload_kind, **dataclasses.asdict(workload)},
             "arrival_rate": arrival_rate,
             "replica": {"max_batch_size": template.max_batch_size,
-                        "kv_backend": template.kv_backend,
                         "kv_page_size": template.kv_page_size,
                         "pe_rows": template.pe_rows, "pe_cols": template.pe_cols,
                         "dram_gbytes_per_s": template.dram_gbytes_per_s},

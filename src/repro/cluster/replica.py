@@ -43,9 +43,8 @@ class ReplicaConfig:
     storage, the weight spec re-wraps the model with a
     :meth:`~repro.llm.inference.QuantizationScheme.from_format` scheme.
     ``max_batch_size`` / ``token_budget`` / ``max_seq_len`` /
-    ``kv_backend`` / ``kv_page_size`` / ``num_kv_blocks`` mirror
-    :class:`~repro.serve.engine.EngineConfig` (paged KV with radix prefix
-    sharing by default).  The remaining fields
+    ``kv_page_size`` mirror :class:`~repro.serve.engine.EngineConfig`
+    (paged KV with radix prefix sharing).  The remaining fields
     parameterise the roofline that prices this replica's decode tokens:
     PE-array geometry, DRAM bandwidth, and the KV context length one decode
     token is priced at.
@@ -56,9 +55,7 @@ class ReplicaConfig:
     max_batch_size: int = 4
     token_budget: Optional[int] = None
     max_seq_len: Optional[int] = None
-    kv_backend: str = "paged"
     kv_page_size: int = 16
-    num_kv_blocks: Optional[int] = None
     pe_rows: int = 32
     pe_cols: int = 32
     dram_gbytes_per_s: float = 25.6
@@ -77,9 +74,7 @@ class ReplicaConfig:
                             token_budget=self.token_budget,
                             kv_spec=self.kv_spec,
                             max_seq_len=self.max_seq_len,
-                            kv_backend=self.kv_backend,
-                            kv_page_size=self.kv_page_size,
-                            num_kv_blocks=self.num_kv_blocks)
+                            kv_page_size=self.kv_page_size)
 
 
 def _storage_bits(spec) -> float:
@@ -178,10 +173,11 @@ class Replica:
     def cached_prefix_tokens(self, request) -> int:
         """Measured reuse: prompt tokens this replica's cache would serve.
 
-        A radix-index peek (no pages are claimed), 0 under the contiguous
-        backend — the signal ``prefix_affinity`` routes on, so placement
-        follows where a prefix is *actually* cached rather than where a hash
-        says it should be.
+        A radix-index peek (no pages are claimed), 0 when pages are at least
+        ``max_seq_len`` long (one page per slot, nothing shareable) — the
+        signal ``prefix_affinity`` routes on, so placement follows where a
+        prefix is *actually* cached rather than where a hash says it should
+        be.
         """
         return self.engine.cache.match_prefix(request.prompt_tokens)
 

@@ -188,7 +188,7 @@ class PrefixAffinity(RoutingPolicy):
     are probed for *measured* reuse: the request goes to the replica that
     would actually serve the most prompt tokens from its paged KV cache,
     ties broken by replica id.  When no replica holds any of the prefix
-    (cold caches, or a contiguous-backend fleet) placement falls back to a
+    (cold caches, or pages too long to share) placement falls back to a
     stable digest of the first ``prefix_tokens`` token ids (not Python's
     randomised ``hash``), so identical prefixes still co-locate — the first
     request of a prefix group seeds exactly one replica's cache and every

@@ -176,7 +176,6 @@ def run(fast=None, rates=None, num_requests=None, shed_policy=None,
                          "seed": workload.seed},
             "engine": {"max_batch_size": engine_config.max_batch_size,
                        "token_budget": engine_config.token_budget,
-                       "kv_backend": engine_config.kv_backend,
                        "kv_page_size": engine_config.kv_page_size},
             "gateway": {"max_queue_depth": gateway_config.max_queue_depth,
                         "shed_policy": gateway_config.shed_policy,

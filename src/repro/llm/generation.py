@@ -11,7 +11,7 @@ layer-wise mixes) can be compared on the same prompt.
 
 The decode loop is a thin single-sequence wrapper over the KV-cached
 incremental path (:meth:`~repro.llm.inference.InferenceModel.forward_step` +
-:class:`repro.serve.KVCache`): the prompt is prefilled once and each new
+:class:`repro.serve.PagedKVCache`): the prompt is prefilled once and each new
 token costs one token's forward.  Only when the context outgrows the model's
 positional window does the loop fall back to the historical full recompute
 over the truncated context (a sliding window shifts every cached position, so
@@ -94,7 +94,7 @@ def generate_tokens(model: InferenceModel, prompt_tokens,
     if np.any(prompt_tokens < 0) or np.any(prompt_tokens >= model.config.vocab_size):
         raise ValueError("prompt contains token ids outside the model vocabulary")
 
-    from repro.serve.kv_cache import KVCache  # serve layers above llm; import lazily
+    from repro.serve.kv_cache import PagedKVCache  # serve layers above llm; import lazily
 
     rng = np.random.default_rng(config.seed)
     window = model.config.max_seq_len - 1
@@ -103,7 +103,7 @@ def generate_tokens(model: InferenceModel, prompt_tokens,
     for _ in range(config.max_new_tokens):
         if len(tokens) <= window:
             if cache is None:
-                cache = KVCache(model.config, batch_size=1)
+                cache = PagedKVCache(model.config, batch_size=1)
                 new_tokens = np.array(tokens, dtype=np.int64)  # prefill the whole prefix
             else:
                 new_tokens = np.array(tokens[-1:], dtype=np.int64)

@@ -6,11 +6,9 @@ would actually run:
 
 * paged K/V storage with radix-tree prefix sharing
   (:mod:`repro.serve.paging`, :mod:`repro.serve.kv_cache`): fixed-size
-  refcounted pages with copy-on-write, a radix index that lets a request
-  adopt every full page of the longest cached prompt prefix instead of
-  re-prefilling it, LRU eviction of unreferenced chains, and optional
-  quantised storage — the dense pre-allocated :class:`KVCache` remains as
-  the ``contiguous`` fallback;
+  refcounted pages, a radix index that lets a request adopt every full page
+  of the longest cached prompt prefix instead of re-prefilling it, LRU
+  eviction of unreferenced chains, and optional quantised storage;
 * a continuous-batching engine (:mod:`repro.serve.engine`): FIFO admission
   under a KV token budget plus free-block accounting, per-step batched
   prefill (with cached-prefix skipping) + decode, per-request sampling
@@ -39,7 +37,7 @@ from repro.serve.engine import (
     VirtualClock,
     WallClock,
 )
-from repro.serve.kv_cache import KVCache, PagedKVCache
+from repro.serve.kv_cache import PagedKVCache
 from repro.serve.paging import BlockPool, PoolExhaustedError, RadixIndex
 from repro.serve.workload import (
     MultiTurnConfig,
@@ -52,7 +50,6 @@ from repro.serve.workload import (
 )
 
 __all__ = [
-    "KVCache",
     "PagedKVCache",
     "BlockPool",
     "RadixIndex",

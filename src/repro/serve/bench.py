@@ -21,7 +21,7 @@ from repro.analysis.reporting import ExperimentResult
 from repro.llm.activations import log_softmax
 from repro.llm.inference import InferenceModel
 from repro.serve.engine import EngineConfig, ServeEngine, VirtualClock, WallClock
-from repro.serve.kv_cache import KVCache
+from repro.serve.kv_cache import PagedKVCache
 from repro.serve.workload import WorkloadConfig, generate_trace
 
 __all__ = ["DEFAULT_KV_SPECS", "serve_model_name", "default_workload",
@@ -103,7 +103,7 @@ def kv_cached_negative_log_likelihood(model: InferenceModel, tokens, kv_spec=Non
     batch, seq = tokens.shape
     if seq < 2:
         raise ValueError("need at least two tokens to score next-token NLL")
-    cache = KVCache(model.config, batch, kv_spec=kv_spec)
+    cache = PagedKVCache(model.config, batch, kv_spec=kv_spec)
     logits = model.forward_step(tokens[:, :-1], cache)
     log_probs = log_softmax(logits, axis=-1)
     picked = np.take_along_axis(log_probs, tokens[:, 1:, None], axis=-1)[..., 0]
@@ -171,7 +171,7 @@ def serve_bench(model: InferenceModel, kv_specs=DEFAULT_KV_SPECS,
 
 
 def run(fast=None, kv_specs=None, num_requests=None, arrival_rate=None,
-        virtual_clock=None, kv_page_size=None, kv_backend=None) -> ExperimentResult:
+        virtual_clock=None, kv_page_size=None) -> ExperimentResult:
     """Continuous-batching serve benchmark: TTFT/latency/throughput per KV-cache format.
 
     The registered ``serve_bench`` experiment driver (the pipeline calls it
@@ -199,13 +199,8 @@ def run(fast=None, kv_specs=None, num_requests=None, arrival_rate=None,
         overrides["arrival_rate"] = arrival_rate
     workload = dataclasses.replace(default_workload(fast_mode), **overrides)
     engine = default_engine_config(fast_mode)
-    engine_overrides = {}
     if kv_page_size is not None:
-        engine_overrides["kv_page_size"] = kv_page_size
-    if kv_backend is not None:
-        engine_overrides["kv_backend"] = kv_backend
-    if engine_overrides:
-        engine = dataclasses.replace(engine, **engine_overrides)
+        engine = dataclasses.replace(engine, kv_page_size=kv_page_size)
     kv_specs = tuple(kv_specs) if kv_specs else DEFAULT_KV_SPECS
     if virtual_clock is None:
         virtual_clock = fast_mode
@@ -240,7 +235,6 @@ def run(fast=None, kv_specs=None, num_requests=None, arrival_rate=None,
                          "seed": workload.seed},
             "engine": {"max_batch_size": engine.max_batch_size,
                        "token_budget": engine.token_budget,
-                       "kv_backend": engine.kv_backend,
                        "kv_page_size": engine.kv_page_size},
             "clock": clock,
             "kv_specs": [spec or "fp16" for spec in kv_specs],

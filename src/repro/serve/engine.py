@@ -1,19 +1,16 @@
 """Continuous-batching inference engine over the KV-cached forward path.
 
 One :class:`ServeEngine` owns an :class:`~repro.llm.inference.InferenceModel`,
-a KV cache with one slot per concurrent request (a
-:class:`~repro.serve.kv_cache.PagedKVCache` by default, or the dense
-:class:`~repro.serve.kv_cache.KVCache` under the ``contiguous`` backend),
-and a FIFO arrival queue.  Every :meth:`~ServeEngine.step`:
+a :class:`~repro.serve.kv_cache.PagedKVCache` with one slot per concurrent
+request, and a FIFO arrival queue.  Every :meth:`~ServeEngine.step`:
 
 1. **admits** queued requests whose arrival time has passed, in strict
    arrival order (head-of-line blocking — a large request cannot be starved
    by smaller ones overtaking it), while a free slot exists, the projected
-   KV footprint stays within the token budget, and — under the paged
-   backend — the request's worst-case page need plus what the already-active
-   requests may still allocate fits the reclaimable page supply (free pages
-   plus LRU-evictable cached prefix chains), so decode can never run the
-   pool dry mid-request;
+   KV footprint stays within the token budget, and the request's worst-case
+   page need plus what the already-active requests may still allocate fits
+   the reclaimable page supply (free pages plus LRU-evictable cached prefix
+   chains), so decode can never run the pool dry mid-request;
 2. **prefills** each admitted request (one ``forward_step`` over the part of
    its prompt not already covered by a cached prefix — a radix-index hit
    skips straight past every shared full page) and samples its first token —
@@ -45,7 +42,7 @@ from repro.llm.sampling import sample_token
 from repro.obs import Observability
 from repro.obs.profiler import (ADMISSION, DECODE_FORWARD, PREFILL_FORWARD,
                                 RELEASE, SAMPLING)
-from repro.serve.kv_cache import KVCache, PagedKVCache
+from repro.serve.kv_cache import PagedKVCache
 
 __all__ = ["Request", "CompletedRequest", "EngineConfig", "ServeEngine", "ServeReport",
            "WallClock", "VirtualClock", "OK_FINISH_REASONS"]
@@ -217,21 +214,20 @@ class EngineConfig:
     selects the KV-cache quantiser; ``max_seq_len`` shrinks the per-slot
     capacity below the model's limit.
 
-    ``kv_backend`` picks the cache layout: ``"paged"`` (the default) stores
-    K/V in ``kv_page_size``-token pages with radix-tree prefix sharing and
-    free-block admission accounting; ``"contiguous"`` is the dense
-    worst-case pre-allocation.  ``num_kv_blocks`` sizes the paged pool
-    (default ``max_batch_size * ceil(max_seq_len / kv_page_size)`` — the
-    same budget the dense layout reserves, so paged admission is never more
+    K/V lives in ``kv_page_size``-token pages with radix-tree prefix sharing
+    and free-block admission accounting.  ``num_kv_blocks`` sizes the page
+    pool (default ``max_batch_size * ceil(max_seq_len / kv_page_size)`` — the
+    budget a dense layout would reserve, so page admission is never more
     restrictive than the slot and token-budget checks unless the pool is
-    shrunk explicitly).
+    shrunk explicitly).  A ``kv_page_size`` of at least ``max_seq_len``
+    gives each slot one page and leaves nothing shareable: the dense,
+    sharing-disabled baseline.
     """
 
     max_batch_size: int = 8
     token_budget: Optional[int] = None
     kv_spec: Optional[str] = None
     max_seq_len: Optional[int] = None
-    kv_backend: str = "paged"
     kv_page_size: int = 16
     num_kv_blocks: Optional[int] = None
 
@@ -240,10 +236,6 @@ class EngineConfig:
             raise ValueError("max_batch_size must be >= 1")
         if self.token_budget is not None and self.token_budget < 1:
             raise ValueError("token_budget must be >= 1")
-        if self.kv_backend not in ("paged", "contiguous"):
-            raise ValueError(
-                f"kv_backend must be 'paged' or 'contiguous', got {self.kv_backend!r}"
-            )
         if self.kv_page_size < 1:
             raise ValueError("kv_page_size must be >= 1")
         if self.num_kv_blocks is not None and self.num_kv_blocks < 1:
@@ -269,7 +261,6 @@ class ServeReport:
     kv_spec: str
     peak_active: int = 0
     reused_tokens: int = 0
-    kv_backend: str = "contiguous"
     kv_page_size: Optional[int] = None
     peak_pages_in_use: int = 0
     kv_peak_memory_bits: float = 0.0
@@ -331,14 +322,10 @@ class ServeEngine:
         self.config = config or EngineConfig()
         max_seq_len = (self.config.max_seq_len if self.config.max_seq_len is not None
                        else model.config.max_seq_len)
-        if self.config.kv_backend == "contiguous":
-            self.cache = KVCache(model.config, self.config.max_batch_size,
-                                 max_seq_len=max_seq_len, kv_spec=self.config.kv_spec)
-        else:
-            self.cache = PagedKVCache(model.config, self.config.max_batch_size,
-                                      max_seq_len=max_seq_len, kv_spec=self.config.kv_spec,
-                                      page_size=self.config.kv_page_size,
-                                      num_blocks=self.config.num_kv_blocks)
+        self.cache = PagedKVCache(model.config, self.config.max_batch_size,
+                                  max_seq_len=max_seq_len, kv_spec=self.config.kv_spec,
+                                  page_size=self.config.kv_page_size,
+                                  num_blocks=self.config.num_kv_blocks)
         self.clock = clock or WallClock()
         self.token_budget = (self.config.token_budget
                              if self.config.token_budget is not None
@@ -366,7 +353,6 @@ class ServeEngine:
         self._tracer = self.obs.tracer
         self._profiler = self.obs.profiler
         self.cache.profiler = self._profiler
-        self._pool = getattr(self.cache, "pool", None)
         registry = self.obs.registry
         labels = self.obs.labels
         self._m_prefill = registry.counter(
@@ -383,7 +369,7 @@ class ServeEngine:
         self._m_active = registry.gauge(
             "engine_active_requests", "Requests holding a cache slot", labels)
         self._m_kv_pages = registry.gauge(
-            "engine_kv_pages_in_use", "Allocated KV pages (paged backend)", labels)
+            "engine_kv_pages_in_use", "Allocated KV pages", labels)
         self._m_ttft = registry.histogram(
             "engine_ttft_seconds", "Arrival to first sampled token", labels)
         self._m_latency = registry.histogram(
@@ -510,7 +496,7 @@ class ServeEngine:
 
     @property
     def peak_pages_in_use(self) -> int:
-        """High-water mark of allocated KV pages (0 under ``contiguous``)."""
+        """High-water mark of allocated KV pages."""
         return self.cache.peak_pages_in_use
 
     @property
@@ -597,7 +583,7 @@ class ServeEngine:
         return records
 
     def _kv_capacity_ok(self, request: Request) -> bool:
-        """Free-block admission check (always true for the contiguous backend).
+        """Free-block admission check.
 
         The request's worst-case page consumption plus the pages every active
         request may still allocate must fit the reclaimable supply (free pages
@@ -606,8 +592,6 @@ class ServeEngine:
         per admission attempt, which is noise next to one model forward at
         this simulator's scale.
         """
-        if self.cache.page_size is None:
-            return True  # contiguous backend: admission is slot/budget-bound
         cost = self.cache.admission_block_cost(request.prompt_tokens,
                                                request.projected_tokens)
         outstanding = sum(
@@ -662,7 +646,7 @@ class ServeEngine:
             if self.on_admit is not None:
                 self.on_admit(request.request_id, now)
             prompt = np.array(request.prompt_tokens, dtype=np.int64)
-            # adopt the longest cached prefix (paged backend) and prefill the rest
+            # adopt the longest cached prefix and prefill the rest
             reused = self.cache.begin_request(slot, request.prompt_tokens)
             suffix = prompt[reused:]
             if prof is not None:
@@ -722,8 +706,7 @@ class ServeEngine:
         self._m_steps.inc()
         self._m_queue_depth.set(len(self._queue))
         self._m_active.set(len(self._active))
-        if self._pool is not None:
-            self._m_kv_pages.set(self._pool.pages_in_use)
+        self._m_kv_pages.set(self.cache.pages_in_use)
         return completed_now
 
     def _release(self, state: _ActiveRequest, finish_time: Optional[float] = None,
@@ -818,7 +801,6 @@ class ServeEngine:
             kv_spec=self.cache.kv_spec,
             peak_active=self._peak_active,
             reused_tokens=self._reused_tokens,
-            kv_backend=self.config.kv_backend,
             kv_page_size=self.cache.page_size,
             peak_pages_in_use=self.cache.peak_pages_in_use,
             kv_peak_memory_bits=self.cache.peak_memory_bits(),
@@ -830,21 +812,13 @@ class ServeEngine:
     def audit_kv_pages(self) -> dict:
         """Account for every allocated KV page; the leak detector.
 
-        Under the paged backend each allocated block's reference count must
-        equal the number of active block tables holding it plus one if the
-        radix index owns a node for it — anything else is a leak (a cancel or
-        retire that dropped references incorrectly).  The contiguous backend
-        has no pages; its equivalent invariant is that only active slots hold
-        cached positions.  Returns ``{"leaked": [...], "pages_in_use": n,
-        "index_pages": m, "active_pages": k}`` where ``leaked`` is empty iff
-        the audit passes.
+        Each allocated block's reference count must equal the number of
+        active block tables holding it plus one if the radix index owns a
+        node for it — anything else is a leak (a cancel or retire that
+        dropped references incorrectly).  Returns ``{"leaked": [...],
+        "pages_in_use": n, "index_pages": m, "active_pages": k}`` where
+        ``leaked`` is empty iff the audit passes.
         """
-        if self.cache.page_size is None:
-            active_rows = {state.slot for state in self._active.values()}
-            leaked = [int(row) for row in range(self.cache.batch_size)
-                      if row not in active_rows and self.cache.lengths[row] != 0]
-            return {"leaked": leaked, "pages_in_use": 0, "index_pages": 0,
-                    "active_pages": 0}
         expected = {}
         active_pages = set()
         for state in self._active.values():

@@ -1,15 +1,13 @@
 """Paged KV storage: a block pool with refcounts and a radix prefix index.
 
-The dense :class:`~repro.serve.kv_cache.KVCache` reserves ``batch x
-max_seq_len`` positions up front — worst-case memory, no sharing.  This
-module provides the two primitives the paged cache is built from (the
-vLLM/SGLang idiom):
+The two primitives :class:`~repro.serve.kv_cache.PagedKVCache` is built
+from (the vLLM/SGLang idiom):
 
 * :class:`BlockPool` — all K/V storage lives in fixed-size *pages* of
   ``page_size`` token positions (every layer, both K and V sides).  Pages are
-  handed out from a free list, reference-counted so several sequences can
-  share one page, and copied on demand (:meth:`BlockPool.copy_block`) when a
-  writer must diverge from a shared page — copy-on-write.
+  handed out from a free list and reference-counted, so a cached prefix page
+  can be held by the radix index and by every request that adopted it at
+  once.
 * :class:`RadixIndex` — a radix tree over token ids at page granularity:
   each node owns one *full* page and is keyed by the ``page_size`` token ids
   it covers.  A new request walks the tree with its prompt and adopts every
@@ -55,7 +53,7 @@ class BlockPool:
     ...                      n_layers=1, d_ff=16, max_seq_len=32)
     >>> pool = BlockPool(config, num_blocks=4, page_size=8)
     >>> block = pool.alloc()
-    >>> pool.retain(block)            # a second holder (e.g. a forked sequence)
+    >>> pool.retain(block)            # a second holder (e.g. the radix index)
     >>> pool.refcount(block), pool.num_free
     (2, 3)
     >>> pool.release(block); pool.release(block)
@@ -141,19 +139,6 @@ class BlockPool:
         self._refcounts[block] -= 1
         if self._refcounts[block] == 0:
             heapq.heappush(self._free, int(block))
-
-    def copy_block(self, block: int) -> int:
-        """Copy-on-write helper: clone a page's K/V into a fresh page.
-
-        The caller keeps its reference on the source (release separately) and
-        receives a private copy with refcount 1 — the divergence step of a
-        forked sequence that must overwrite a shared page.
-        """
-        clone = self.alloc()
-        for layer in range(self.config.n_layers):
-            self.k_store[layer][clone] = self.k_store[layer][block]
-            self.v_store[layer][clone] = self.v_store[layer][block]
-        return clone
 
 
 class _RadixNode:

@@ -217,7 +217,7 @@ class MultiTurnConfig:
     strict extension of turn ``t-1``'s prompt, so a prefix cache re-serves
     the whole history and only the new message needs prefill.  (Assistant
     tokens are not folded back into later prompts: the trace is fixed ahead
-    of the run, which keeps it replayable across engines and backends.)
+    of the run, which keeps it replayable across engines and page sizes.)
 
     Conversations start as a Poisson process at ``arrival_rate``; successive
     turns of one conversation are spaced ``think_time_s`` apart.

@@ -110,14 +110,15 @@ class TestPagedReplicaSurface:
         assert row["kv_peak_memory_mib"] > 0
         assert row["prefix_hit_rate"] == pytest.approx(replica.prefix_hit_rate)
 
-    def test_contiguous_backend_reports_zero_reuse(self, tiny_inference_model):
-        replica = Replica(0, tiny_inference_model,
-                          ReplicaConfig(kv_backend="contiguous"))
+    def test_one_page_per_slot_reports_zero_reuse(self, tiny_inference_model):
+        """Pages of ``max_seq_len`` (the dense baseline) leave nothing to share."""
+        seq = tiny_inference_model.config.max_seq_len
+        replica = Replica(0, tiny_inference_model, ReplicaConfig(kv_page_size=seq))
         replica.submit(Request(request_id=0, prompt_tokens=(1, 2, 3), max_new_tokens=2))
         while replica.has_work:
             replica.step()
         row = replica.describe()
         assert row["reused_prefix_tokens"] == 0 and row["prefix_hit_rate"] == 0.0
-        assert row["peak_pages_in_use"] == 0
+        assert row["peak_pages_in_use"] == 1
         assert replica.cached_prefix_tokens(
             Request(request_id=1, prompt_tokens=(1, 2, 3), max_new_tokens=2)) == 0

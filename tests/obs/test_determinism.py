@@ -21,7 +21,7 @@ def _run_engine_schedule():
     obs = Observability.enabled()
     engine = ServeEngine(
         tiny_model(),
-        EngineConfig(max_batch_size=2, kv_backend="paged", kv_page_size=4),
+        EngineConfig(max_batch_size=2, kv_page_size=4),
         clock=VirtualClock(time_per_token=0.001),
         obs=obs,
     )

@@ -18,17 +18,18 @@ def assert_clean_audit(engine):
     assert audit["leaked"] == [], audit
 
 
-BACKENDS = [
-    dict(kv_backend="paged", kv_page_size=4),
-    dict(kv_backend="contiguous"),
-]
+#: Short pages (prompts span several, prefix pages get indexed) and one page
+#: per slot (the tiny model's max_seq_len of 64: nothing is ever shareable,
+#: the dense baseline).
+PAGE_SIZES = [dict(kv_page_size=4), dict(kv_page_size=64)]
+PAGE_IDS = ["paged", "dense"]
 
 
 class TestCancelQueued:
-    @pytest.mark.parametrize("backend", BACKENDS, ids=["paged", "contiguous"])
+    @pytest.mark.parametrize("pages", PAGE_SIZES, ids=PAGE_IDS)
     def test_cancel_before_admission_never_touches_the_cache(
-            self, tiny_inference_model, backend):
-        engine = make_engine(tiny_inference_model, **backend)
+            self, tiny_inference_model, pages):
+        engine = make_engine(tiny_inference_model, **pages)
         engine.submit(Request(request_id=7, prompt_tokens=(1, 2, 3), max_new_tokens=4))
         record = engine.cancel(7)
         assert record.finish_reason == "cancelled"
@@ -52,10 +53,10 @@ class TestCancelQueued:
 
 
 class TestCancelActive:
-    @pytest.mark.parametrize("backend", BACKENDS, ids=["paged", "contiguous"])
+    @pytest.mark.parametrize("pages", PAGE_SIZES, ids=PAGE_IDS)
     def test_cancel_just_after_prefill_reclaims_every_page(
-            self, tiny_inference_model, backend):
-        engine = make_engine(tiny_inference_model, **backend)
+            self, tiny_inference_model, pages):
+        engine = make_engine(tiny_inference_model, **pages)
         engine.submit(Request(request_id=0, prompt_tokens=tuple(range(1, 11)),
                               max_new_tokens=30))
         engine.step()   # admits + prefills + one decode token
@@ -65,19 +66,16 @@ class TestCancelActive:
         assert record.admitted_time is not None
         assert engine.num_active == 0
         assert_clean_audit(engine)
-        if backend["kv_backend"] == "paged":
-            # prompt pages committed at prefill stay radix-owned (refcount 1,
-            # evictable); everything else went back to the free list
-            owned = set(engine.cache.index.owned_blocks())
-            assert set(engine.cache.pool.allocated_blocks()) == owned
-            assert all(engine.cache.pool.refcount(b) == 1 for b in owned)
-        else:
-            assert engine.cache.pages_in_use == 0
+        # prompt pages committed at prefill stay radix-owned (refcount 1,
+        # evictable); everything else went back to the free list
+        owned = set(engine.cache.index.owned_blocks())
+        assert set(engine.cache.pool.allocated_blocks()) == owned
+        assert all(engine.cache.pool.refcount(b) == 1 for b in owned)
 
-    @pytest.mark.parametrize("backend", BACKENDS, ids=["paged", "contiguous"])
+    @pytest.mark.parametrize("pages", PAGE_SIZES, ids=PAGE_IDS)
     def test_cancel_mid_decode_frees_or_returns_pages_to_the_index(
-            self, tiny_inference_model, backend):
-        engine = make_engine(tiny_inference_model, **backend)
+            self, tiny_inference_model, pages):
+        engine = make_engine(tiny_inference_model, **pages)
         engine.submit(Request(request_id=0, prompt_tokens=(2, 4, 6, 8), max_new_tokens=30))
         engine.submit(Request(request_id=1, prompt_tokens=(3, 5, 7), max_new_tokens=30))
         for _ in range(3):
@@ -93,7 +91,7 @@ class TestCancelActive:
         assert_clean_audit(engine)
 
     def test_cancel_does_not_index_the_partial_generation(self, tiny_inference_model):
-        engine = make_engine(tiny_inference_model, kv_backend="paged", kv_page_size=4)
+        engine = make_engine(tiny_inference_model, kv_page_size=4)
         engine.submit(Request(request_id=0, prompt_tokens=(1, 2, 3, 4, 5, 6, 7, 8),
                               max_new_tokens=20))
         engine.step()
@@ -107,25 +105,20 @@ class TestCancelActive:
         for block in engine.cache.index.owned_blocks():
             assert engine.cache.pool.refcount(block) == 1
 
-    @pytest.mark.parametrize("backend", BACKENDS, ids=["paged", "contiguous"])
+    @pytest.mark.parametrize("pages", PAGE_SIZES, ids=PAGE_IDS)
     def test_cancel_reclaim_is_observable_via_pages_in_use(
-            self, tiny_inference_model, backend):
-        engine = make_engine(tiny_inference_model, **backend)
+            self, tiny_inference_model, pages):
+        engine = make_engine(tiny_inference_model, **pages)
         engine.submit(Request(request_id=0, prompt_tokens=tuple(range(1, 9)),
                               max_new_tokens=30))
         engine.step()
-        if backend["kv_backend"] == "paged":
-            assert engine.cache.pages_in_use > 0
-            owned = set(engine.cache.index.owned_blocks())
-            active = {b for b in engine.cache._tables[0]}
-            assert active  # the request genuinely holds pages before the cancel
+        assert engine.cache.pages_in_use > 0
+        assert engine.cache._tables[0]  # the request genuinely holds pages
         engine.cancel(0)
-        if backend["kv_backend"] == "paged":
-            for block in set(engine.cache.pool.allocated_blocks()):
-                assert engine.cache.pool.refcount(block) == 1
-                assert block in set(engine.cache.index.owned_blocks())
-        else:
-            assert engine.cache.lengths[0] == 0
+        for block in set(engine.cache.pool.allocated_blocks()):
+            assert engine.cache.pool.refcount(block) == 1
+            assert block in set(engine.cache.index.owned_blocks())
+        assert engine.cache.lengths[0] == 0
 
     def test_cancel_unknown_or_finished_id_raises_key_error(self, tiny_inference_model):
         engine = make_engine(tiny_inference_model)
@@ -196,7 +189,7 @@ class TestDeadlines:
         assert report.summary()["timed_out"] == 1
 
     def test_timed_out_decode_still_indexes_its_valid_prefix(self, tiny_inference_model):
-        engine = make_engine(tiny_inference_model, kv_backend="paged", kv_page_size=4)
+        engine = make_engine(tiny_inference_model, kv_page_size=4)
         engine.submit(Request(request_id=0, prompt_tokens=(1, 2, 3, 4), max_new_tokens=50,
                               deadline=0.006))
         engine.run()

@@ -221,7 +221,11 @@ class TestExternalDriveHooks:
 
 
 class TestPagedEngine:
-    """The paged KV backend: token identity, prefix reuse, block admission."""
+    """Paged KV: token identity, prefix reuse, block admission.
+
+    The dense baseline is a page of ``max_seq_len``: one page per slot,
+    nothing shareable.
+    """
 
     def _shared_prefix_requests(self, prefix_len=20, count=6, max_new=5):
         prefix = tuple(range(1, prefix_len + 1))
@@ -232,36 +236,38 @@ class TestPagedEngine:
         self, tiny_inference_model
     ):
         requests = self._shared_prefix_requests()
+        seq = tiny_inference_model.config.max_seq_len
         reports = {
-            backend: make_engine(tiny_inference_model, max_batch_size=3,
-                                 kv_backend=backend, kv_page_size=4).run(requests)
-            for backend in ("contiguous", "paged")
+            page: make_engine(tiny_inference_model, max_batch_size=3,
+                              kv_page_size=page).run(requests)
+            for page in (seq, 4)
         }
         by_id = lambda report: sorted(report.completed,
                                       key=lambda c: c.request.request_id)
-        for dense, paged in zip(by_id(reports["contiguous"]), by_id(reports["paged"])):
+        for dense, paged in zip(by_id(reports[seq]), by_id(reports[4])):
             assert dense.generated_tokens == paged.generated_tokens
 
     def test_prefix_hits_skip_prefill_and_cut_virtual_time(self, tiny_inference_model):
         requests = self._shared_prefix_requests(prefix_len=24)
         dense = make_engine(tiny_inference_model, max_batch_size=3,
-                            kv_backend="contiguous").run(requests)
+                            kv_page_size=tiny_inference_model.config.max_seq_len
+                            ).run(requests)
         paged = make_engine(tiny_inference_model, max_batch_size=3,
-                            kv_backend="paged", kv_page_size=4).run(requests)
+                            kv_page_size=4).run(requests)
         assert paged.reused_tokens > 0
         assert paged.prefill_tokens + paged.reused_tokens == dense.prefill_tokens
         assert paged.kv_hit_rate > 0.5  # 24 of 26 prompt tokens shared
         assert paged.elapsed_s < dense.elapsed_s  # skipped prefill = skipped tokens
-        assert dense.kv_hit_rate == 0.0 and dense.peak_pages_in_use == 0
+        assert dense.kv_hit_rate == 0.0 and dense.reused_tokens == 0
 
     def test_quantised_paged_decode_matches_dense_for_block_formats(
         self, tiny_inference_model
     ):
         requests = self._shared_prefix_requests(count=4)
         dense = make_engine(tiny_inference_model, max_batch_size=2,
-                            kv_backend="contiguous", kv_spec="bfp8@b32").run(requests)
-        paged = make_engine(tiny_inference_model, max_batch_size=2,
-                            kv_backend="paged", kv_page_size=4,
+                            kv_page_size=tiny_inference_model.config.max_seq_len,
+                            kv_spec="bfp8@b32").run(requests)
+        paged = make_engine(tiny_inference_model, max_batch_size=2, kv_page_size=4,
                             kv_spec="bfp8@b32").run(requests)
         for d, p in zip(sorted(dense.completed, key=lambda c: c.request.request_id),
                         sorted(paged.completed, key=lambda c: c.request.request_id)):
@@ -270,19 +276,23 @@ class TestPagedEngine:
     def test_page_size_at_least_max_seq_len_reproduces_dense_rows(
         self, tiny_inference_model
     ):
-        """One page per slot = no full pages to share = the dense schedule."""
+        """One page per slot = no full pages to share = the dense schedule.
+
+        Every prompt token is prefilled, each active request holds exactly
+        one page, and any longer page reproduces the same report.
+        """
         workload = WorkloadConfig(num_requests=10, arrival_rate=150.0,
                                   prompt_tokens=(3, 9), new_tokens=(2, 6), seed=4)
         requests = generate_requests(tiny_inference_model.config.vocab_size, workload)
         seq = tiny_inference_model.config.max_seq_len
-        dense = make_engine(tiny_inference_model, max_batch_size=3,
-                            kv_backend="contiguous").run(requests)
-        paged = make_engine(tiny_inference_model, max_batch_size=3,
-                            kv_backend="paged", kv_page_size=seq).run(requests)
-        paging_keys = ("peak_pages_in_use", "kv_peak_memory_mib")
-        dense_summary = {k: v for k, v in dense.summary().items() if k not in paging_keys}
-        paged_summary = {k: v for k, v in paged.summary().items() if k not in paging_keys}
-        assert paged_summary == dense_summary
+        dense, longer = (make_engine(tiny_inference_model, max_batch_size=3,
+                                     kv_page_size=page).run(requests)
+                         for page in (seq, 4 * seq))
+        assert dense.reused_tokens == 0
+        assert dense.prefill_tokens == sum(len(r.prompt_tokens) for r in requests)
+        assert dense.peak_pages_in_use == dense.peak_active
+        assert longer.summary() == dense.summary()
+        assert longer.kv_page_size == dense.kv_page_size == seq
 
     def test_free_block_accounting_blocks_head_of_line_until_pages_free(
         self, tiny_inference_model
@@ -290,8 +300,7 @@ class TestPagedEngine:
         # 8 pages of 4 = 32 token positions; each request projects 12 tokens
         # (3 pages), so only two fit concurrently despite 4 slots
         engine = make_engine(tiny_inference_model, max_batch_size=4,
-                             kv_backend="paged", kv_page_size=4, num_kv_blocks=8,
-                             max_seq_len=16)
+                             kv_page_size=4, num_kv_blocks=8, max_seq_len=16)
         for i in range(5):
             engine.submit(Request(request_id=i,
                                   prompt_tokens=tuple(range(1 + i, 9 + i)),
@@ -318,7 +327,7 @@ class TestPagedEngine:
         for _ in range(2):
             requests = generate_requests(tiny_inference_model.config.vocab_size, workload)
             report = make_engine(tiny_inference_model, max_batch_size=3,
-                                 kv_backend="paged", kv_page_size=4).run(requests)
+                                 kv_page_size=4).run(requests)
             summaries.append((report.summary(),
                               [(c.request.request_id, c.generated_tokens,
                                 c.first_token_time, c.finish_time)
@@ -328,8 +337,8 @@ class TestPagedEngine:
     def test_report_carries_the_paging_surface(self, tiny_inference_model):
         requests = self._shared_prefix_requests(count=3)
         report = make_engine(tiny_inference_model, max_batch_size=3,
-                             kv_backend="paged", kv_page_size=4).run(requests)
-        assert report.kv_backend == "paged" and report.kv_page_size == 4
+                             kv_page_size=4).run(requests)
+        assert report.kv_page_size == 4
         assert report.peak_pages_in_use > 0
         assert report.kv_peak_memory_bits > 0
         summary = report.summary()

@@ -10,7 +10,6 @@ from repro.serve.engine import EngineConfig, Request, ServeEngine, VirtualClock
 
 def _engine(model, obs, **overrides):
     overrides.setdefault("max_batch_size", 2)
-    overrides.setdefault("kv_backend", "paged")
     overrides.setdefault("kv_page_size", 4)
     return ServeEngine(model, EngineConfig(**overrides),
                        clock=VirtualClock(time_per_token=0.001), obs=obs)

@@ -8,7 +8,11 @@ import pytest
 from repro.llm.generation import GenerationConfig, generate_tokens
 from repro.llm.inference import QuantizationScheme
 from repro.serve.bench import kv_cached_negative_log_likelihood
-from repro.serve.kv_cache import KVCache
+from repro.serve.kv_cache import PagedKVCache
+
+#: Short pages, so every prompt below spans several of them and each forward
+#: step gathers and scatters across page boundaries.
+PAGE_SIZE = 3
 
 
 def full_recompute_greedy(model, prompt, max_new_tokens):
@@ -25,7 +29,7 @@ def full_recompute_greedy(model, prompt, max_new_tokens):
 class TestPrefillEquivalence:
     def test_single_sequence_prefill_matches_forward(self, tiny_inference_model):
         tokens = np.arange(1, 13, dtype=np.int64)[None, :]
-        cache = KVCache(tiny_inference_model.config, batch_size=1)
+        cache = PagedKVCache(tiny_inference_model.config, batch_size=1, page_size=PAGE_SIZE)
         step = tiny_inference_model.forward_step(tokens, cache)
         full = tiny_inference_model.forward(tokens)
         np.testing.assert_allclose(step, full, rtol=0, atol=1e-12)
@@ -34,7 +38,7 @@ class TestPrefillEquivalence:
     def test_batched_prefill_matches_forward(self, tiny_inference_model):
         rng = np.random.default_rng(5)
         tokens = rng.integers(0, tiny_inference_model.config.vocab_size, size=(3, 10))
-        cache = KVCache(tiny_inference_model.config, batch_size=3)
+        cache = PagedKVCache(tiny_inference_model.config, batch_size=3, page_size=PAGE_SIZE)
         step = tiny_inference_model.forward_step(tokens, cache)
         full = tiny_inference_model.forward(tokens)
         np.testing.assert_allclose(step, full, rtol=0, atol=1e-12)
@@ -42,7 +46,7 @@ class TestPrefillEquivalence:
     def test_chunked_prefill_matches_one_shot(self, tiny_inference_model):
         tokens = np.arange(2, 18, dtype=np.int64)[None, :]
         full = tiny_inference_model.forward(tokens)
-        cache = KVCache(tiny_inference_model.config, batch_size=1)
+        cache = PagedKVCache(tiny_inference_model.config, batch_size=1, page_size=PAGE_SIZE)
         chunks = [tiny_inference_model.forward_step(tokens[:, :5], cache),
                   tiny_inference_model.forward_step(tokens[:, 5:11], cache),
                   tiny_inference_model.forward_step(tokens[:, 11:], cache)]
@@ -62,7 +66,8 @@ class TestGreedyDecodeEquivalence:
         # compare each against its own full-recompute loop
         prompts = [[1, 2, 3], [9, 8, 7, 6, 5], [4, 4, 4, 4]]
         max_new = 12
-        cache = KVCache(tiny_inference_model.config, batch_size=len(prompts))
+        cache = PagedKVCache(tiny_inference_model.config, batch_size=len(prompts),
+                             page_size=PAGE_SIZE)
         sequences = []
         for row, prompt in enumerate(prompts):
             logits = tiny_inference_model.forward_step(
@@ -82,7 +87,7 @@ class TestGreedyDecodeEquivalence:
     ):
         # prefill in multiple steps (a chunked-prefill scheduler), then decode
         prompt = list(range(1, 21))
-        cache = KVCache(tiny_inference_model.config, batch_size=1)
+        cache = PagedKVCache(tiny_inference_model.config, batch_size=1, page_size=PAGE_SIZE)
         tiny_inference_model.forward_step(np.array(prompt[:8])[None, :], cache)
         logits = tiny_inference_model.forward_step(np.array(prompt[8:])[None, :], cache)
         tokens = list(prompt) + [int(np.argmax(logits[0, -1]))]
@@ -110,19 +115,19 @@ class TestRaggedBatches:
     def test_decode_with_unequal_cached_lengths_matches_solo_decode(self, tiny_inference_model):
         model = tiny_inference_model
         prompts = {0: [1, 2, 3, 4, 5, 6, 7], 1: [9, 8]}
-        shared = KVCache(model.config, batch_size=2)
+        shared = PagedKVCache(model.config, batch_size=2, page_size=PAGE_SIZE)
         solo_logits = {}
         for row, prompt in prompts.items():
             tokens = np.array(prompt, dtype=np.int64)[None, :]
             shared_out = model.forward_step(tokens, shared, rows=[row])
-            solo = KVCache(model.config, batch_size=1)
+            solo = PagedKVCache(model.config, batch_size=1, page_size=PAGE_SIZE)
             np.testing.assert_allclose(shared_out, model.forward_step(tokens, solo),
                                        atol=1e-12)
         # ragged batched decode: row 0 has 7 cached positions, row 1 has 2
         last = np.array([[prompts[0][-1]], [prompts[1][-1]]], dtype=np.int64)
         batched = model.forward_step(last, shared)
         for row, prompt in prompts.items():
-            solo = KVCache(model.config, batch_size=1)
+            solo = PagedKVCache(model.config, batch_size=1, page_size=PAGE_SIZE)
             model.forward_step(np.array(prompt, dtype=np.int64)[None, :], solo)
             solo_logits[row] = model.forward_step(
                 np.array([[prompt[-1]]], dtype=np.int64), solo)
@@ -131,22 +136,23 @@ class TestRaggedBatches:
 
 class TestErrors:
     def test_overflow_beyond_capacity_raises(self, tiny_inference_model):
-        cache = KVCache(tiny_inference_model.config, batch_size=1, max_seq_len=6)
+        cache = PagedKVCache(tiny_inference_model.config, batch_size=1, max_seq_len=6,
+                             page_size=PAGE_SIZE)
         with pytest.raises(ValueError, match="max_seq_len"):
             tiny_inference_model.forward_step(np.arange(7)[None, :], cache)
 
     def test_row_count_must_match_batch(self, tiny_inference_model):
-        cache = KVCache(tiny_inference_model.config, batch_size=2)
+        cache = PagedKVCache(tiny_inference_model.config, batch_size=2, page_size=PAGE_SIZE)
         with pytest.raises(ValueError, match="rows"):
             tiny_inference_model.forward_step(np.arange(3)[None, :], cache, rows=[0, 1])
 
     def test_batch_must_match_cache_without_rows(self, tiny_inference_model):
-        cache = KVCache(tiny_inference_model.config, batch_size=2)
+        cache = PagedKVCache(tiny_inference_model.config, batch_size=2, page_size=PAGE_SIZE)
         with pytest.raises(ValueError, match="cache batch"):
             tiny_inference_model.forward_step(np.arange(3)[None, :], cache)
 
     def test_empty_step_rejected(self, tiny_inference_model):
-        cache = KVCache(tiny_inference_model.config, batch_size=1)
+        cache = PagedKVCache(tiny_inference_model.config, batch_size=1, page_size=PAGE_SIZE)
         with pytest.raises(ValueError, match="at least one"):
             tiny_inference_model.forward_step(np.zeros((1, 0), dtype=np.int64), cache)
 
@@ -164,7 +170,7 @@ class TestQuantisedKV:
         model = tiny_inference_model
         tokens = np.arange(1, 17, dtype=np.int64)
         one_shot = kv_cached_negative_log_likelihood(model, tokens, kv_spec=spec)
-        cache = KVCache(model.config, batch_size=1, kv_spec=spec)
+        cache = PagedKVCache(model.config, batch_size=1, kv_spec=spec, page_size=PAGE_SIZE)
         logits = [model.forward_step(np.array([[t]], dtype=np.int64), cache)[0]
                   for t in tokens[:-1]]
         log_probs = log_softmax(np.concatenate(logits, axis=0), axis=-1)

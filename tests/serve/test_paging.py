@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import collections
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.serve.kv_cache import KVCache, PagedKVCache
+from repro.quant import get_quantizer
+from repro.serve.engine import EngineConfig, ServeEngine, VirtualClock
+from repro.serve.kv_cache import PagedKVCache
 from repro.serve.paging import BlockPool, PoolExhaustedError, RadixIndex
+from repro.serve.workload import SharedPrefixConfig, generate_shared_prefix_requests
 
 
 @pytest.fixture
@@ -45,13 +51,6 @@ class TestBlockPool:
         assert pool.try_alloc() is None
         with pytest.raises(PoolExhaustedError):
             pool.alloc()
-
-    def test_copy_block_clones_storage(self, pool, rng):
-        block = pool.alloc()
-        pool.k_store[0][block] = rng.standard_normal(pool.k_store[0][block].shape)
-        clone = pool.copy_block(block)
-        assert clone != block and pool.refcount(clone) == 1
-        np.testing.assert_array_equal(pool.k_store[0][clone], pool.k_store[0][block])
 
     def test_invalid_shapes_rejected(self, tiny_model_config):
         with pytest.raises(ValueError, match="num_blocks"):
@@ -95,7 +94,7 @@ class TestBlockPoolStress:
         assert sorted(pool._free) == list(range(pool.capacity))
 
     def test_stress_through_the_paged_cache_lifecycle(self, tiny_model_config):
-        """Random begin/append/fork/retire/reset cycles leave no leaked pages."""
+        """Random begin/append/retire/reset cycles leave no leaked pages."""
         cache = PagedKVCache(tiny_model_config, batch_size=4, max_seq_len=32,
                              page_size=4, num_blocks=48)
         rng = np.random.default_rng(7)
@@ -123,11 +122,6 @@ class TestBlockPoolStress:
                 cache.advance([row], n)
                 tokens[row] = tokens[row] + tuple(int(t) for t in rng.integers(0, 16, size=n))
                 lengths[row] += n
-            elif action < 0.85:
-                other = int(rng.integers(4))
-                cache.fork(row, other)
-                tokens[other] = tokens[row]
-                lengths[other] = lengths[row]
             else:
                 cache.reset(rows=[row])
                 tokens[row] = ()
@@ -225,9 +219,15 @@ class TestPagedKVCache:
     @pytest.mark.parametrize("page_size", [1, 3, 4, 16])
     def test_matches_dense_cache_values_exactly(self, tiny_model_config, kv_spec,
                                                 page_size):
-        dense = KVCache(tiny_model_config, batch_size=2, kv_spec=kv_spec)
+        """Gathered pages equal each row's appends, quantised alone, end to end."""
         paged = PagedKVCache(tiny_model_config, batch_size=2, page_size=page_size,
                              kv_spec=kv_spec)
+        quantizer = get_quantizer(kv_spec) if kv_spec is not None else None
+
+        def solo(x):  # one quantiser call per row, side and append
+            return quantizer.quantize_dequantize(x, axis=-1) if quantizer else x
+
+        dense = {0: ([], []), 1: ([], [])}  # per row: K chunks, V chunks
         # single-row prefills, then batched appends at unequal offsets; the
         # 5-position chunk starts mid-page (row 0 at 14) and crosses pages
         steps = [([0], 13), ([1], 2), ([0, 1], 1), ([0, 1], 5), ([1, 0], 1),
@@ -235,23 +235,26 @@ class TestPagedKVCache:
         for step, (rows, n_new) in enumerate(steps):
             k, v = self._kv(tiny_model_config, len(rows), n_new, seed=step)
             for layer in range(tiny_model_config.n_layers):
-                dense.append(layer, rows, k, v)
                 paged.append(layer, rows, k, v)
-            dense.advance(rows, n_new)
             paged.advance(rows, n_new)
+            for index, row in enumerate(rows):
+                dense[row][0].append(solo(k[index]))
+                dense[row][1].append(solo(v[index]))
+        dense = {row: tuple(np.concatenate(chunks, axis=1) for chunks in sides)
+                 for row, sides in dense.items()}
         lengths = paged.lengths.tolist()
-        assert lengths == dense.lengths.tolist() == [27, 9]
+        assert lengths == [27, 9]
         for layer in range(tiny_model_config.n_layers):
             for rows in ([0, 1], [1, 0], [1]):
                 context_len = max(lengths[row] for row in rows)
-                k_d, v_d = dense.context(layer, rows, context_len)
                 k_p, v_p = paged.context(layer, rows, context_len)
-                assert k_p.shape == k_d.shape and v_p.shape == v_d.shape
+                expected_shape = (len(rows), tiny_model_config.n_heads, context_len,
+                                  tiny_model_config.head_dim)
+                assert k_p.shape == v_p.shape == expected_shape
                 for index, row in enumerate(rows):  # past coverage is masked
-                    np.testing.assert_array_equal(k_p[index, :, :lengths[row]],
-                                                  k_d[index, :, :lengths[row]])
-                    np.testing.assert_array_equal(v_p[index, :, :lengths[row]],
-                                                  v_d[index, :, :lengths[row]])
+                    k_d, v_d = dense[row]
+                    np.testing.assert_array_equal(k_p[index, :, :lengths[row]], k_d)
+                    np.testing.assert_array_equal(v_p[index, :, :lengths[row]], v_d)
 
     def test_prefix_reuse_skips_full_pages_only(self, tiny_model_config):
         cache = PagedKVCache(tiny_model_config, batch_size=2, page_size=4)
@@ -269,28 +272,6 @@ class TestPagedKVCache:
         assert matched == 8 and int(cache.lengths[1]) == 8
         k_ctx, _ = cache.context(0, [1], 8)
         np.testing.assert_array_equal(k_ctx[0], k[0, :, :8])
-
-    def test_fork_shares_pages_and_copy_on_write_isolates_divergence(
-        self, tiny_model_config
-    ):
-        cache = PagedKVCache(tiny_model_config, batch_size=2, page_size=4)
-        k, v = self._kv(tiny_model_config, 1, 6)
-        for layer in range(tiny_model_config.n_layers):
-            cache.append(layer, [0], k, v)
-        cache.advance([0], 6)
-        cache.fork(0, 1)
-        assert cache.pages_in_use == 2  # both rows address the same two pages
-        k0, v0 = self._kv(tiny_model_config, 1, 1, seed=1)
-        k1, v1 = self._kv(tiny_model_config, 1, 1, seed=2)
-        for layer in range(tiny_model_config.n_layers):
-            cache.append(layer, [0], k0, v0)
-            cache.append(layer, [1], k1, v1)  # same position: must copy the shared page
-        cache.advance([0, 1], 1)
-        assert cache.pages_in_use == 3
-        ctx0, _ = cache.context(0, [0], 7)
-        ctx1, _ = cache.context(0, [1], 7)
-        np.testing.assert_array_equal(ctx0[0, :, :6], ctx1[0, :, :6])
-        assert not np.array_equal(ctx0[0, :, 6], ctx1[0, :, 6])
 
     def test_allocation_evicts_lru_cached_chains(self, tiny_model_config):
         cache = PagedKVCache(tiny_model_config, batch_size=1, max_seq_len=16,
@@ -329,3 +310,91 @@ class TestPagedKVCache:
         with pytest.raises(ValueError, match="num_blocks"):
             PagedKVCache(tiny_model_config, batch_size=1, max_seq_len=32,
                          page_size=4, num_blocks=4)
+
+    def test_page_longer_than_max_seq_len_is_clamped(self, tiny_model_config):
+        """A page past ``max_seq_len`` would reserve positions no slot can use."""
+        def pool_bytes(cache):
+            return sum(store.nbytes for store in cache.pool.k_store + cache.pool.v_store)
+
+        exact = PagedKVCache(tiny_model_config, batch_size=4, max_seq_len=40,
+                             page_size=40)
+        oversized = PagedKVCache(tiny_model_config, batch_size=4, max_seq_len=40,
+                                 page_size=4096)
+        assert oversized.page_size == exact.page_size == 40
+        assert oversized.num_blocks == exact.num_blocks == 4
+        assert pool_bytes(oversized) == pool_bytes(exact)
+
+
+class TestAppendsWriteOnlyPrivatePages:
+    """The invariant that lets shared pages go without copy-on-write.
+
+    A request adopts only full prefix pages and appends past them, and the
+    radix index only receives full pages their writer has moved past, so
+    every page an append writes into is held by its own row alone.
+    """
+
+    @pytest.mark.parametrize("sampling", [dict(), dict(temperature=0.8, top_k=5)],
+                             ids=["greedy", "top_k"])
+    @pytest.mark.parametrize("page_size", [1, 4])
+    def test_engine_appends_never_touch_a_shared_page(self, tiny_inference_model,
+                                                      page_size, sampling):
+        workload = SharedPrefixConfig(num_requests=16, arrival_rate=400.0,
+                                      num_prefixes=2, prefix_tokens=10,
+                                      unique_tokens=(1, 4), new_tokens=(4, 10),
+                                      seed=3, **sampling)
+        requests = generate_shared_prefix_requests(
+            tiny_inference_model.config.vocab_size, workload)
+        requests[5] = dataclasses.replace(
+            requests[5], deadline=requests[5].arrival_time + 0.006)
+        # 48 token positions of pool for 3 slots of 32: prefix chains must be
+        # evicted to make room
+        engine = ServeEngine(
+            tiny_inference_model,
+            EngineConfig(max_batch_size=3, max_seq_len=32, kv_page_size=page_size,
+                         num_kv_blocks=48 // page_size),
+            clock=VirtualClock())
+        cache = engine.cache
+        checked_pages = []
+        append = cache.append
+
+        def private_append(layer, rows, k_new, v_new):
+            n_new = k_new.shape[2]
+            for row in np.atleast_1d(rows).tolist():
+                start = int(cache.lengths[row])
+                # pages not allocated yet are fresh; the rest must be private
+                covering = cache._tables[row][start // page_size:
+                                              -(-(start + n_new) // page_size)]
+                shared = [block for block in covering if cache.pool.refcount(block) != 1]
+                assert not shared, (
+                    f"layer {layer} append to row {row} at position {start} "
+                    f"would write shared pages {shared}")
+                checked_pages.append(len(covering))
+            append(layer, rows, k_new, v_new)
+
+        cache.append = private_append
+        evict = cache.index.evict_one
+        evictions = []
+
+        def counted_evict():
+            evictions.append(evict())
+            return evictions[-1]
+
+        cache.index.evict_one = counted_evict
+        streamed = collections.Counter()
+        engine.on_token = lambda request_id, token, now: streamed.update([request_id])
+        for request in requests:
+            engine.submit(request)
+        cancelled = None
+        while engine.has_work:
+            engine.step()
+            if cancelled is None:
+                decoding = [request.request_id for request in engine.active_requests()
+                            if streamed[request.request_id] >= 2]
+                if decoding:
+                    cancelled = decoding[0]
+                    engine.cancel(cancelled)
+            assert engine.audit_kv_pages()["leaked"] == []
+        report = engine.report()
+        assert report.cancelled == 1 and report.timed_out == 1
+        assert report.reused_tokens > 0 and any(evictions)
+        assert sum(checked_pages) > 0  # the check saw already-allocated pages
