@@ -1,8 +1,8 @@
-"""Setuptools entry point.
+"""Setuptools entry point and the package's only metadata.
 
-The canonical metadata lives in ``pyproject.toml``; this file exists so the
-package can also be installed in environments whose tooling predates PEP 660
-editable installs (``pip install -e . --no-use-pep517``).
+``pip install -e .`` installs the runtime (numpy); ``pip install -e .[test]``
+adds what the tier-1 suite imports: pytest, hypothesis (property tests) and
+pytest-benchmark (the ``benchmark`` fixture under ``benchmarks/``).
 """
 
 from setuptools import find_packages, setup
@@ -18,4 +18,5 @@ setup(
     packages=find_packages(where="src"),
     python_requires=">=3.9",
     install_requires=["numpy>=1.21"],
+    extras_require={"test": ["pytest", "hypothesis", "pytest-benchmark"]},
 )

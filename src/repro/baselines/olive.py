@@ -95,9 +95,10 @@ def olive_quantize_dequantize(x: np.ndarray, config: OliveConfig = OliveConfig()
     # Victim pruning along the last axis: the element following an outlier is
     # zeroed; an outlier immediately following another outlier loses its
     # extension and is clamped to the normal range instead.
-    outlier_flat = is_outlier.reshape(-1, x.shape[-1])
-    result_flat = result.reshape(-1, x.shape[-1]).copy()
-    normal_flat = normal.reshape(-1, x.shape[-1])
+    width = x.shape[-1] if x.ndim else 1
+    outlier_flat = is_outlier.reshape(-1, width)
+    result_flat = result.reshape(-1, width).copy()
+    normal_flat = normal.reshape(-1, width)
     victim = np.zeros_like(outlier_flat)
     victim[:, 1:] = outlier_flat[:, :-1]
     # Victims are pruned unless they are themselves outliers...

@@ -23,6 +23,12 @@ Consequences (Fig. 2(b)):
 The paper writes a configuration as ``BBFP(m, o)``; the shared exponent field
 is always 5 bits wide and the per-element storage is ``m`` magnitude bits +
 1 sign bit + 1 flag bit.
+
+:func:`quantize_bbfp` builds the hardware-faithful :class:`BBFPTensor`
+(signs, flags, integer codes, shared exponents).  Fake quantisation,
+:func:`bbfp_quantize_dequantize`, skips those fields: it runs the fused
+:class:`~repro.core.block_kernel.BlockKernel` pass, which shares the
+encoder's per-block step rule and returns bit-identical values.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.block_kernel import BlockKernel
 from repro.core.blocking import BlockLayout, from_blocks, to_blocks
 from repro.core.exponent_selection import (
     ExponentStrategy,
@@ -160,11 +167,8 @@ class BBFPTensor:
     @property
     def block_values(self) -> np.ndarray:
         """Real values of each block element (still in blocked layout)."""
-        base_step = np.exp2(
-            self.shared_exponents[..., None].astype(np.float64) - (self.config.mantissa_bits - 1)
-        )
-        factor = np.where(self.flags == 1, float(self.config.high_group_factor), 1.0)
-        return self.signs * self.mantissas.astype(np.float64) * base_step * factor
+        low, high = BlockKernel(self.config).steps(self.shared_exponents[..., None])
+        return self.signs * self.mantissas.astype(np.float64) * np.where(self.flags == 1, high, low)
 
     def dequantize(self) -> np.ndarray:
         """Reconstruct a dense float tensor in the original shape."""
@@ -211,8 +215,8 @@ def quantize_bbfp(x: np.ndarray, config: BBFPConfig, axis: int = -1,
         exponent_max=config.exponent_max,
     )
     flags = (exponents > shared[..., None]).astype(np.int8)
-    base_step = np.exp2(shared[..., None].astype(np.float64) - (config.mantissa_bits - 1))
-    step = np.where(flags == 1, base_step * config.high_group_factor, base_step)
+    low, high = BlockKernel(config).steps(shared[..., None])
+    step = np.where(flags == 1, high, low)
     signs = np.where(blocks < 0, -1.0, 1.0)
     codes = round_magnitudes(np.abs(blocks) / step, config.rounding, rng=rng)
     codes = np.clip(codes, 0, config.max_mantissa_level).astype(np.int64)
@@ -228,8 +232,12 @@ def quantize_bbfp(x: np.ndarray, config: BBFPConfig, axis: int = -1,
 
 def bbfp_quantize_dequantize(x: np.ndarray, config: BBFPConfig, axis: int = -1,
                              rng: np.random.Generator = None) -> np.ndarray:
-    """Quantise then immediately dequantise (fake quantisation for accuracy studies)."""
-    return quantize_bbfp(x, config, axis=axis, rng=rng).dequantize()
+    """Fake quantisation for accuracy studies: ``quantize_bbfp(...).dequantize()``'s values.
+
+    Runs the fused :class:`~repro.core.block_kernel.BlockKernel` pass, which
+    skips the hardware fields; the values are bit-identical.
+    """
+    return BlockKernel(config).quantize_dequantize(x, axis=axis, rng=rng)
 
 
 def parse_bbfp_name(name: str) -> BBFPConfig:

@@ -13,6 +13,11 @@ shifted far to the right and lose theirs — the weakness BBFP addresses.
 
 The paper denotes a BFP format with an ``m``-bit mantissa as ``BFPm``
 (e.g. BFP4, BFP6, BFP8) and fixes the shared exponent width at 5 bits.
+
+:func:`quantize_bfp` builds the hardware-faithful :class:`BFPTensor`;
+fake quantisation, :func:`bfp_quantize_dequantize`, runs the fused
+:class:`~repro.core.block_kernel.BlockKernel` pass instead, which shares the
+encoder's per-block step rule and returns bit-identical values.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.block_kernel import BlockKernel
 from repro.core.blocking import BlockLayout, from_blocks, to_blocks
 from repro.core.exponent_selection import ExponentStrategy, select_shared_exponent
 from repro.core.floatspec import exponent_of
@@ -131,9 +137,7 @@ class BFPTensor:
     @property
     def block_values(self) -> np.ndarray:
         """Real values of each block element (still in blocked layout)."""
-        step = np.exp2(
-            self.shared_exponents[..., None].astype(np.float64) - (self.config.mantissa_bits - 1)
-        )
+        step, _ = BlockKernel(self.config).steps(self.shared_exponents[..., None])
         return self.signs * self.mantissas.astype(np.float64) * step
 
     def dequantize(self) -> np.ndarray:
@@ -166,7 +170,7 @@ def quantize_bfp(x: np.ndarray, config: BFPConfig, axis: int = -1,
         exponent_min=config.exponent_min,
         exponent_max=config.exponent_max,
     )
-    step = np.exp2(shared[..., None].astype(np.float64) - (config.mantissa_bits - 1))
+    step, _ = BlockKernel(config).steps(shared[..., None])
     signs = np.where(blocks < 0, -1.0, 1.0)
     codes = round_magnitudes(np.abs(blocks) / step, config.rounding, rng=rng)
     codes = np.clip(codes, 0, config.max_mantissa_level).astype(np.int64)
@@ -181,5 +185,9 @@ def quantize_bfp(x: np.ndarray, config: BFPConfig, axis: int = -1,
 
 def bfp_quantize_dequantize(x: np.ndarray, config: BFPConfig, axis: int = -1,
                             rng: np.random.Generator = None) -> np.ndarray:
-    """Quantise then immediately dequantise (the "fake quantisation" used for accuracy studies)."""
-    return quantize_bfp(x, config, axis=axis, rng=rng).dequantize()
+    """Fake quantisation for accuracy studies: ``quantize_bfp(...).dequantize()``'s values.
+
+    Runs the fused :class:`~repro.core.block_kernel.BlockKernel` pass, which
+    skips the hardware fields; the values are bit-identical.
+    """
+    return BlockKernel(config).quantize_dequantize(x, axis=axis, rng=rng)

@@ -27,7 +27,8 @@ class BlockLayout:
 
     @property
     def axis_length(self) -> int:
-        return self.original_shape[self.axis]
+        # a 0-d tensor is blocked as one element
+        return self.original_shape[self.axis] if self.original_shape else 1
 
     @property
     def num_blocks_along_axis(self) -> int:
@@ -50,6 +51,7 @@ def to_blocks(x: np.ndarray, block_size: int, axis: int = -1) -> tuple:
     if block_size < 1:
         raise ValueError(f"block_size must be >= 1, got {block_size}")
     x = np.asarray(x, dtype=np.float64)
+    original_shape = x.shape
     if x.ndim == 0:
         x = x.reshape(1)
     axis = _normalise_axis(axis, x.ndim)
@@ -61,7 +63,7 @@ def to_blocks(x: np.ndarray, block_size: int, axis: int = -1) -> tuple:
         moved = np.pad(moved, pad_width, mode="constant")
     blocks = moved.reshape(moved.shape[:-1] + (padded_length // block_size, block_size))
     layout = BlockLayout(
-        original_shape=tuple(np.asarray(x).shape),
+        original_shape=original_shape,
         axis=axis,
         block_size=block_size,
         padded_length=padded_length,

@@ -26,6 +26,7 @@ __all__ = [
     "decompose_float",
     "exponent_of",
     "compose_float",
+    "ZERO_EXPONENT",
 ]
 
 
@@ -119,12 +120,18 @@ FP8_E5M2 = FloatSpec("FP8_E5M2", exponent_bits=5, mantissa_bits=2)
 FP4_E2M1 = FloatSpec("FP4_E2M1", exponent_bits=2, mantissa_bits=1)
 
 
-def exponent_of(x: np.ndarray, zero_exponent: int = -127) -> np.ndarray:
+#: Exponent :func:`exponent_of` gives an exact zero by default: FP32's zero
+#: (biased exponent field 0).  Only elements below ``2**-127`` rank under it.
+ZERO_EXPONENT = -127
+
+
+def exponent_of(x: np.ndarray, zero_exponent: int = ZERO_EXPONENT) -> np.ndarray:
     """Return the unbiased binary exponent ``floor(log2(|x|))`` of each element.
 
     Zeros are assigned ``zero_exponent`` so they never win a "max exponent"
-    reduction inside a block; the value mirrors how a hardware encoder treats
-    an all-zero lane (exponent field of zero after biasing).
+    reduction inside a block of FP32-range values; the value mirrors how a
+    hardware encoder treats an all-zero lane (exponent field of zero after
+    biasing).
 
     Parameters
     ----------

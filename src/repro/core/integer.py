@@ -75,16 +75,17 @@ class IntQuantConfig(SerializableConfig):
 def _scales(x: np.ndarray, config: IntQuantConfig) -> np.ndarray:
     """Compute the symmetric scale (step size) for ``x`` under ``config``."""
     absx = np.abs(x)
-    if config.granularity is Granularity.PER_TENSOR:
-        max_abs = np.max(absx) if absx.size else 0.0
-        max_abs = np.asarray(max_abs)
+    # a 0-d tensor is one element: one channel, one block
+    if config.granularity is Granularity.PER_TENSOR or absx.ndim == 0:
+        max_abs = np.asarray(absx.max(initial=0.0))
     elif config.granularity is Granularity.PER_CHANNEL:
-        max_abs = absx.max(axis=tuple(range(absx.ndim - 1)), keepdims=True) if absx.ndim else absx
+        max_abs = absx.max(axis=tuple(range(absx.ndim - 1)), keepdims=True, initial=0.0)
     elif config.granularity is Granularity.PER_BLOCK:
         length = x.shape[-1]
         pad = (-length) % config.block_size
         padded = np.pad(absx, [(0, 0)] * (absx.ndim - 1) + [(0, pad)])
-        blocked = padded.reshape(padded.shape[:-1] + (-1, config.block_size))
+        blocked = padded.reshape(padded.shape[:-1]
+                                 + (padded.shape[-1] // config.block_size, config.block_size))
         block_max = blocked.max(axis=-1, keepdims=True)
         block_max = np.broadcast_to(block_max, blocked.shape).reshape(padded.shape)
         max_abs = block_max[..., :length]

@@ -86,7 +86,7 @@ def round_magnitudes(
     """
     mode = rounding_from_name(mode)
     magnitudes = np.asarray(magnitudes, dtype=np.float64)
-    if np.any(magnitudes < 0):
+    if magnitudes.min(initial=0.0) < 0:
         raise ValueError("round_magnitudes expects non-negative magnitude codes")
     if mode is RoundingMode.NEAREST:
         return np.rint(magnitudes)

@@ -149,10 +149,12 @@ class Quantizer(abc.ABC):
 
     def quantize_dequantize(self, x: np.ndarray, axis: int = -1,
                             rng: np.random.Generator = None) -> np.ndarray:
-        """Fake quantisation: encode then immediately decode.
+        """Fake quantisation: the values of encoding then immediately decoding.
 
-        Subclasses override this when the underlying free function fuses the
-        two steps more cheaply.
+        Subclasses override this when a fused path computes the same values
+        more cheaply: BBFP and BFP run
+        :class:`~repro.core.block_kernel.BlockKernel` (bit-identical to
+        ``quantize(x).dequantize()``), minifloats round element-wise.
         """
         return self.quantize(x, axis=axis, rng=rng).dequantize()
 

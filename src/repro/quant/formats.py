@@ -5,7 +5,8 @@ Importing this module (which :mod:`repro.quant` does eagerly) registers one
 BBFP, BFP, INT, minifloat, MX and BiE.  Each subclass wraps the existing free
 functions — the numerics are untouched; this layer only provides the
 polymorphic protocol, the spec-string grammar and the common result
-container.
+container.  BBFP and BFP fake-quantise through their format's
+:class:`~repro.core.block_kernel.BlockKernel`, resolved once per instance.
 
 The *baseline* families (Olive, Oltron) live in
 :mod:`repro.quant.baseline_formats` and are registered lazily on the first
@@ -21,6 +22,7 @@ import numpy as np
 
 from repro.core.bbfp import BBFPConfig, quantize_bbfp
 from repro.core.bie import BiEConfig, quantize_bie
+from repro.core.block_kernel import BlockKernel
 from repro.core.blockfp import BFPConfig, quantize_bfp
 from repro.core.floatspec import BF16, FP4_E2M1, FP8_E4M3, FP8_E5M2, FP16, FP32, FloatSpec
 from repro.core.fp_formats import minifloat_quantize_dequantize
@@ -80,8 +82,27 @@ def _block_kwargs(mods: dict, spec_hint: str) -> dict:
     return kwargs
 
 
+class _BlockFloatQuantizer(Quantizer):
+    """BBFP and BFP: native tensor payloads, and fake quantisation by the fused kernel."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        # resolved once per instance; get_quantizer memoises instances
+        self._kernel = BlockKernel(config)
+
+    def decode(self, payload):
+        return payload.dequantize()
+
+    def quantize_dequantize(self, x, axis=-1, rng=None):
+        return self._kernel.quantize_dequantize(x, axis=axis, rng=rng)
+
+    @property
+    def batch_separable(self):
+        return _rounds_deterministically(self.config)
+
+
 @register_format("bbfp", BBFPConfig, example_specs=("bbfp(4,2)", "bbfp(6,3)", "bbfp(3,1)"))
-class BBFPQuantizer(Quantizer):
+class BBFPQuantizer(_BlockFloatQuantizer):
     """Bidirectional BFP — the paper's format (``BBFP(m,o)``, ``BBFP(m,o,e)``)."""
 
     @classmethod
@@ -110,16 +131,9 @@ class BBFPQuantizer(Quantizer):
         x = np.asarray(x, dtype=np.float64)
         return QuantizedTensor(self, quantize_bbfp(x, self.config, axis=axis, rng=rng), x.shape)
 
-    def decode(self, payload):
-        return payload.dequantize()
-
-    @property
-    def batch_separable(self):
-        return _rounds_deterministically(self.config)
-
 
 @register_format("bfp", BFPConfig, example_specs=("bfp4", "bfp6", "bfp8", "bfp8@b32"))
-class BFPQuantizer(Quantizer):
+class BFPQuantizer(_BlockFloatQuantizer):
     """Vanilla block floating point (``BFP<m>``)."""
 
     @classmethod
@@ -136,13 +150,6 @@ class BFPQuantizer(Quantizer):
     def quantize(self, x, axis=-1, rng=None):
         x = np.asarray(x, dtype=np.float64)
         return QuantizedTensor(self, quantize_bfp(x, self.config, axis=axis, rng=rng), x.shape)
-
-    def decode(self, payload):
-        return payload.dequantize()
-
-    @property
-    def batch_separable(self):
-        return _rounds_deterministically(self.config)
 
 
 @register_format("bie", BiEConfig, example_specs=("bie4", "bie6", "bie4@k3"))
@@ -237,8 +244,9 @@ class IntQuantizer(Quantizer):
 
     def quantize(self, x, axis=-1, rng=None):
         x = np.asarray(x, dtype=np.float64)
-        if self.config.granularity is not Granularity.PER_BLOCK:
-            # Per-tensor / per-channel scales are axis-independent conventions.
+        if self.config.granularity is not Granularity.PER_BLOCK or x.ndim == 0:
+            # Per-tensor / per-channel scales are axis-independent conventions
+            # (and a 0-d tensor has no axis to block along).
             codes, scale = int_quantize(x, self.config)
             return QuantizedTensor(
                 self, {"codes": codes, "scale": scale, "num_scales": self._num_scales(x)}, x.shape

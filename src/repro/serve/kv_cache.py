@@ -135,6 +135,8 @@ class PagedKVCache:
         # row's pages with one fancy index; entries past a table's length are
         # don't-care (they only ever read positions the caller masks).
         self._page_ids = np.zeros((self.batch_size, blocks_per_slot), dtype=np.int64)
+        # positions each table covers, so append tests every row at once
+        self._covered = np.zeros(self.batch_size, dtype=np.int64)
 
     def __repr__(self) -> str:
         return (f"PagedKVCache(batch_size={self.batch_size}, max_seq_len={self.max_seq_len}, "
@@ -173,29 +175,35 @@ class PagedKVCache:
             block = self._alloc_block()
             self._page_ids[row, len(table)] = block
             table.append(block)
+        self._covered[row] = len(table) * self.page_size
 
     # ------------------------------------------------------------ read/write
     def _quantize_rows(self, k_new: np.ndarray, v_new: np.ndarray) -> tuple:
-        """Fake-quantise every row's appended K/V along ``head_dim``.
+        """Every row's appended K/V, fake-quantised along ``head_dim``, position-major.
 
+        Returns ``(rows, n_new, heads, head_dim)`` arrays — the pages' layout.
         Co-batched sequences never share a quantisation scale, so a request's
         cached K/V does not depend on which requests happen to decode
         alongside it.  When the format is
         :attr:`~repro.quant.Quantizer.batch_separable` (block formats,
         minifloats, per-block INT: every scale lives inside one ``head_dim``
-        vector) all rows and both sides go through one quantiser call, which
-        keeps that promise bit for bit.  Otherwise (per-tensor or per-channel
-        INT, whose scale spans a row's chunk; stochastic rounding; the
-        outlier baselines) each row's K and V are quantised on their own.
+        vector) all rows and both sides go through one quantiser call in
+        position-major order, which keeps that promise bit for bit.
+        Otherwise (per-tensor or per-channel INT, whose scale spans a row's
+        chunk; stochastic rounding, which draws in C order; the outlier
+        baselines) each row's head-major K and V are quantised on their own.
         """
+        k_pos, v_pos = k_new.transpose(0, 2, 1, 3), v_new.transpose(0, 2, 1, 3)
         quantizer = self.quantizer
         if quantizer is None:
-            return k_new, v_new
+            return k_pos, v_pos
         if self._batch_separable:
-            kv = quantizer.quantize_dequantize(np.stack((k_new, v_new)), axis=-1)
+            kv = quantizer.quantize_dequantize(np.stack((k_pos, v_pos)), axis=-1)
             return kv[0], kv[1]
-        return (np.stack([quantizer.quantize_dequantize(k, axis=-1) for k in k_new]),
-                np.stack([quantizer.quantize_dequantize(v, axis=-1) for v in v_new]))
+        return (np.stack([quantizer.quantize_dequantize(k, axis=-1)
+                          for k in k_new]).transpose(0, 2, 1, 3),
+                np.stack([quantizer.quantize_dequantize(v, axis=-1)
+                          for v in v_new]).transpose(0, 2, 1, 3))
 
     def append(self, layer: int, rows, k_new: np.ndarray, v_new: np.ndarray) -> None:
         """Store new K/V positions for ``rows`` starting at their current lengths.
@@ -204,22 +212,25 @@ class PagedKVCache:
         head_dim)``.  The write offset is ``lengths[row]`` — every layer of
         one forward step appends at the same offset; :meth:`advance` moves the
         offsets once the step has run all layers.  Pages are allocated on
-        demand when the first layer of a step writes past the table's
-        coverage (so the allocation happens exactly once per step), values
-        are quantise-dequantised along ``head_dim`` when a quantiser is
-        configured (see :meth:`_quantize_rows`), and every row and position
-        is then written with one fancy-index scatter per side.
+        demand when the first layer of a step writes past a table's coverage
+        (one vectorised test per call; the allocation happens exactly once
+        per step), values are quantise-dequantised along ``head_dim`` when a
+        quantiser is configured (see :meth:`_quantize_rows`), and every row
+        and position is then written with one fancy-index scatter per side.
         """
         rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
         n_new = k_new.shape[2]
         starts = self._lengths[rows]
-        if np.any(starts + n_new > self.max_seq_len):
+        ends = starts + n_new
+        if (ends > self.max_seq_len).any():
             raise ValueError(
                 f"append of {n_new} position(s) overflows the cache capacity "
                 f"{self.max_seq_len}"
             )
-        for row, start in zip(rows.tolist(), starts.tolist()):
-            self._ensure_capacity(row, start + n_new)
+        short = self._covered[rows] < ends
+        if short.any():
+            for row, end in zip(rows[short].tolist(), ends[short].tolist()):
+                self._ensure_capacity(row, end)
         prof = self.profiler
         if prof is not None:
             _t0 = time.perf_counter()
@@ -229,10 +240,9 @@ class PagedKVCache:
             k_q, v_q = self._quantize_rows(k_new, v_new)
         pages, within = np.divmod(starts[:, None] + np.arange(n_new), self.page_size)
         blocks = self._page_ids[rows[:, None], pages]
-        # pages are position-major: (rows, n_new) index pairs select
-        # (rows, n_new, heads, head_dim) slabs
-        self.pool.k_store[layer][blocks, within] = k_q.transpose(0, 2, 1, 3)
-        self.pool.v_store[layer][blocks, within] = v_q.transpose(0, 2, 1, 3)
+        # (rows, n_new) index pairs select (rows, n_new, heads, head_dim) slabs
+        self.pool.k_store[layer][blocks, within] = k_q
+        self.pool.v_store[layer][blocks, within] = v_q
 
     def context(self, layer: int, rows, context_len: int) -> tuple:
         """Gather ``(k, v)`` of shape ``(len(rows), n_heads, context_len, head_dim)``.
@@ -275,6 +285,7 @@ class PagedKVCache:
             for block in self._tables[row]:
                 self.pool.release(block)
             self._tables[row] = []
+            self._covered[row] = 0
             self._lengths[row] = 0
 
     # --------------------------------------------------- request lifecycle
@@ -300,7 +311,7 @@ class PagedKVCache:
         matched = self.index.match(tokens, max_tokens=len(tokens) - 1)
         self._tables[row] = self.index.acquire(matched)
         self._page_ids[row, :len(matched)] = self._tables[row]
-        self._lengths[row] = len(matched) * self.page_size
+        self._covered[row] = self._lengths[row] = len(matched) * self.page_size
         return len(matched) * self.page_size
 
     def commit_prefix(self, row: int, tokens) -> None:

@@ -35,7 +35,10 @@ class TestToBlocks:
     def test_scalar_promoted(self):
         blocks, layout = to_blocks(5.0, 4)
         assert blocks.shape == (1, 4)
-        assert layout.original_shape == (1,)
+        assert layout.original_shape == ()
+        restored = from_blocks(blocks, layout)
+        assert restored.shape == ()
+        assert restored == 5.0
 
     def test_invalid_block_size(self):
         with pytest.raises(ValueError):

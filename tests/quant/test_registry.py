@@ -210,3 +210,16 @@ class TestBatchSeparable:
             for side in stack
         ])
         assert quantizer.batch_separable == np.array_equal(stacked, per_slice)
+
+
+class TestEdgeShapes:
+    @pytest.mark.parametrize("shape", [(), (40,), (0, 32), (3, 0)],
+                             ids=["0d", "1d", "no-rows", "no-columns"])
+    @pytest.mark.parametrize("spec", ALL_EXAMPLE_SPECS)
+    def test_dequantised_shape_is_the_input_shape(self, spec, shape):
+        x = np.random.default_rng(0).standard_normal(shape)
+        quantizer = get_quantizer(spec)
+        encoded = quantizer.quantize(x)
+        assert encoded.shape == x.shape
+        assert encoded.dequantize().shape == x.shape
+        assert quantizer.quantize_dequantize(x).shape == x.shape

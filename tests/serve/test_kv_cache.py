@@ -71,18 +71,21 @@ class TestAppendAdvance:
 
 
 class TestQuantisedStorage:
-    def test_appended_values_are_fake_quantised(self, tiny_model_config):
-        cache = PagedKVCache(tiny_model_config, batch_size=1, kv_spec="int4")
+    @pytest.mark.parametrize("kv_spec", ["int4", "BBFP(4,2)", "bfp8@b32"])
+    def test_appended_values_are_fake_quantised(self, tiny_model_config, kv_spec):
+        cache = PagedKVCache(tiny_model_config, batch_size=1, kv_spec=kv_spec)
         rng = np.random.default_rng(0)
         shape = (1, tiny_model_config.n_heads, 3, tiny_model_config.head_dim)
         k, v = rng.standard_normal(shape), rng.standard_normal(shape)
         cache.append(0, [0], k, v)
         cache.advance([0], 3)
-        quantizer = get_quantizer("int4")
+        # the encoder's values, so the check never compares the fused
+        # fake-quantisation kernel with itself
+        quantizer = get_quantizer(kv_spec)
         k_ctx, v_ctx = cache.context(0, [0], 3)
-        np.testing.assert_array_equal(k_ctx[0], quantizer.quantize_dequantize(k, axis=-1)[0])
-        np.testing.assert_array_equal(v_ctx[0], quantizer.quantize_dequantize(v, axis=-1)[0])
-        assert not np.array_equal(k_ctx[0], k[0])  # int4 storage is lossy
+        np.testing.assert_array_equal(k_ctx[0], quantizer.quantize(k, axis=-1).dequantize()[0])
+        np.testing.assert_array_equal(v_ctx[0], quantizer.quantize(v, axis=-1).dequantize()[0])
+        assert not np.array_equal(k_ctx[0], k[0])  # quantised storage is lossy
 
     @pytest.mark.parametrize("kv_spec", ["int8", "int8@pc"])
     def test_co_batched_rows_never_share_a_scale(self, tiny_model_config, kv_spec):
