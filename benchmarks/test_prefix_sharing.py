@@ -125,6 +125,14 @@ def test_shared_prefix_trace_doubles_decode_throughput(bench_model, trace):
                   "page_size": PAGE_SIZE, "speedup_bar": SPEEDUP_BAR},
     ))
     assert paged_report.reused_tokens > 0
+    # The count the speedup rests on.  Each 96-token prefix is 12 whole
+    # pages of 8, so it is prefilled once, by the first request drawing it;
+    # every other request adopts all 12 pages and prefills only its unique
+    # suffix.  LRU eviction on this fixed trace only ever takes suffix
+    # leaves, so no prefix is prefilled twice.
+    prompt_tokens = sum(len(request.prompt_tokens) for request in trace)
+    assert paged_report.prefill_tokens == prompt_tokens - (
+        WORKLOAD.num_requests - WORKLOAD.num_prefixes) * WORKLOAD.prefix_tokens
     assert speedup >= SPEEDUP_BAR, (
         f"prefix sharing speedup {speedup:.2f}x below the {SPEEDUP_BAR}x bar "
         f"(no sharing {unshared_tps:.1f} tok/s, paged {paged_tps:.1f} tok/s)"

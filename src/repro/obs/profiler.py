@@ -11,7 +11,7 @@ phase                what it times
 ``admission``        queue pops, budget/page-capacity checks, prefix adoption
 ``prefill_forward``  the prompt-suffix ``forward_step`` call
 ``decode_forward``   the batched one-token-per-request ``forward_step`` call
-``page_gather``      block-table gathers into dense K/V (inside the forwards)
+``page_gather``      the KV context read, view or gather (inside the forwards)
 ``quantize_append``  quantise-on-append of new K/V (inside the forwards)
 ``sampling``         logits → token sampling and stop-condition checks
 ``release``          retirement: radix indexing, page release, record building
@@ -21,6 +21,9 @@ phase                what it times
 phases (the cache is called per layer from within ``forward_step``), so the
 ranked table reports them with ``within="forward"`` and computes ``share``
 over the top-level phases only — the shares of top-level phases sum to 1.
+``page_gather`` keeps its name but times the whole context read: a view of
+the pool when consecutive slots read their home pages, a gather otherwise
+(see :meth:`repro.serve.kv_cache.PagedKVCache.context`).
 
 The implementation is a pair of preallocated fixed-size arrays indexed by
 integer phase ids — ``add()`` is two list-index increments, no dict lookup,

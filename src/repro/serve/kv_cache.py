@@ -14,6 +14,11 @@ and unreferenced chains are LRU-evicted when the pool runs dry.  A page as
 long as ``max_seq_len`` gives every slot exactly one page — the dense
 layout, with nothing shareable.
 
+Where a page physically lives is decided apart from all of that: when the
+pool holds a block for every slot position, each slot's pages sit on fixed
+*home* blocks, so a batch of consecutive slots reads its context as a
+slice of the pool instead of gathering copies of every page.
+
 KV storage is where a serving system's memory goes (the weights are shared
 across requests, the cache is per request), so the cache optionally pushes
 every appended key/value through a :mod:`repro.quant` quantiser — any spec
@@ -68,6 +73,18 @@ class PagedKVCache:
     is private to its row.  Pages hold exactly the values a dense layout
     would, sharing reuses positions whose K/V depend only on the shared
     tokens, and gathers preserve order.
+
+    *Home placement.*  When ``num_blocks >= batch_size * blocks_per_slot``
+    (the default sizing), page ``i`` of slot ``row`` is allocated on block
+    ``row * blocks_per_slot + i``.  When another page sits there (a cached
+    prefix page, perhaps adopted by other slots), allocation runs as it
+    would without homes — same free count, same LRU eviction — and that
+    page moves onto the block it returned, with its refcount, radix node
+    and block-table entries repointed.  Which pages exist, who holds them
+    and what they hold are therefore independent of placement; only block
+    ids differ.  :meth:`context` reads consecutive slots whose pages all
+    sit at home as a view of the pool.  Smaller pools use plain allocation
+    only and always gather.
 
     Parameters
     ----------
@@ -131,10 +148,25 @@ class PagedKVCache:
         self.pool = BlockPool(config, self.num_blocks, self.page_size)
         self.index = RadixIndex(self.pool)
         self._tables = [[] for _ in range(self.batch_size)]
+        slot_blocks = self.batch_size * blocks_per_slot
+        if self.num_blocks >= slot_blocks:
+            self._home_ids = np.arange(slot_blocks).reshape(self.batch_size,
+                                                            blocks_per_slot)
+            # the pool's home blocks seen slot-major, one row per slot
+            slot_shape = (self.batch_size, blocks_per_slot * self.page_size,
+                          config.n_heads, config.head_dim)
+            self._k_slots = [_read_only(store[:slot_blocks].reshape(slot_shape))
+                             for store in self.pool.k_store]
+            self._v_slots = [_read_only(store[:slot_blocks].reshape(slot_shape))
+                             for store in self.pool.v_store]
+        else:
+            self._home_ids = None
         # ``_tables`` padded into one array, so append/context address every
-        # row's pages with one fancy index; entries past a table's length are
-        # don't-care (they only ever read positions the caller masks).
-        self._page_ids = np.zeros((self.batch_size, blocks_per_slot), dtype=np.int64)
+        # row's pages with one fancy index.  Entries past a table's length
+        # only ever read positions the caller masks; they hold the row's
+        # home ids, so a short row does not stop its batch reading a view.
+        self._page_ids = (self._home_ids.copy() if self._home_ids is not None
+                          else np.zeros((self.batch_size, blocks_per_slot), dtype=np.int64))
         # positions each table covers, so append tests every row at once
         self._covered = np.zeros(self.batch_size, dtype=np.int64)
 
@@ -156,8 +188,15 @@ class PagedKVCache:
         return self._lengths
 
     # ------------------------------------------------------------ allocation
-    def _alloc_block(self) -> int:
-        """One fresh page, evicting LRU unreferenced prefix chains if needed."""
+    def _alloc_block(self, home: int = None) -> int:
+        """One fresh page, evicting LRU unreferenced prefix chains if needed.
+
+        With ``home`` given the fresh page is that block: claimed directly
+        when free, otherwise the page sitting there moves onto the block
+        plain allocation returned (see *Home placement* above).
+        """
+        if home is not None and self.pool.take(home):
+            return home
         block = self.pool.try_alloc()
         while block is None:
             if not self.index.evict_one():
@@ -166,14 +205,29 @@ class PagedKVCache:
                     f"referenced by active requests"
                 )
             block = self.pool.try_alloc()
-        return block
+        if home is None or block == home:
+            return block
+        self._move_page(home, block)
+        return home
+
+    def _move_page(self, src: int, dst: int) -> None:
+        """Move the page on ``src`` to ``dst`` and repoint every holder."""
+        self.pool.move(src, dst)
+        self.index.repoint(src, dst)
+        for row, table in enumerate(self._tables):
+            if src in table:  # a table holds a block at most once
+                page = table.index(src)
+                table[page] = dst
+                self._page_ids[row, page] = dst
 
     def _ensure_capacity(self, row: int, upto: int) -> None:
         """Grow ``row``'s block table to cover positions ``[0, upto)``."""
         table = self._tables[row]
         while len(table) * self.page_size < upto:
-            block = self._alloc_block()
-            self._page_ids[row, len(table)] = block
+            page = len(table)
+            block = self._alloc_block(None if self._home_ids is None
+                                      else int(self._home_ids[row, page]))
+            self._page_ids[row, page] = block
             table.append(block)
         self._covered[row] = len(table) * self.page_size
 
@@ -245,26 +299,41 @@ class PagedKVCache:
         self.pool.v_store[layer][blocks, within] = v_q
 
     def context(self, layer: int, rows, context_len: int) -> tuple:
-        """Gather ``(k, v)`` of shape ``(len(rows), n_heads, context_len, head_dim)``.
+        """Read ``(k, v)`` of shape ``(len(rows), n_heads, context_len, head_dim)``.
 
         ``context_len`` covers positions appended this step but not yet
-        advanced.  One fancy-index gather per side pulls every row's pages in
-        table order; position-major pages make the result a free reshape
-        away from ``(rows, positions, heads, head_dim)``, and the returned
-        arrays are transposed views of it.  Rows shorter than ``context_len``
-        carry stale tail values the caller must mask (the causal mask of
-        ``forward_step`` does).
+        advanced.  When ``rows`` are consecutive slots ``lo..hi`` whose pages
+        up to ``context_len`` all sit on their home blocks, the result is a
+        read-only view of the pool: those blocks, slot-major, sliced to
+        ``[lo:hi, :context_len]`` — no copy.  The view aliases the pool, so
+        it is only valid until the next :meth:`append`; read it within the
+        layer.  Otherwise one fancy-index gather per side copies every row's
+        pages in table order.  Either way the arrays are position-major
+        ``(rows, positions, heads, head_dim)`` transposed, with the same
+        inner strides.  Rows shorter than ``context_len`` carry stale tail
+        values the caller must mask (the causal mask of ``forward_step``
+        does).
         """
         prof = self.profiler
         if prof is not None:
             _t0 = time.perf_counter()
         rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
+        if not 0 <= context_len <= self.max_seq_len:
+            raise ValueError(
+                f"context_len must be in [0, {self.max_seq_len}], got {context_len}")
         pages = -(-context_len // self.page_size)
         blocks = self._page_ids[rows, :pages]
-        shape = (len(rows), pages * self.page_size, self.config.n_heads,
-                 self.config.head_dim)
-        k = self.pool.k_store[layer][blocks].reshape(shape)[:, :context_len]
-        v = self.pool.v_store[layer][blocks].reshape(shape)[:, :context_len]
+        lo = int(rows[0]) if len(rows) else -1
+        hi = lo + len(rows)
+        if (self._home_ids is not None and lo >= 0
+                and np.array_equal(blocks, self._home_ids[lo:hi, :pages])):
+            k = self._k_slots[layer][lo:hi, :context_len]
+            v = self._v_slots[layer][lo:hi, :context_len]
+        else:
+            shape = (len(rows), pages * self.page_size, self.config.n_heads,
+                     self.config.head_dim)
+            k = self.pool.k_store[layer][blocks].reshape(shape)[:, :context_len]
+            v = self.pool.v_store[layer][blocks].reshape(shape)[:, :context_len]
         if prof is not None:
             prof.add(PAGE_GATHER, time.perf_counter() - _t0)
         return k.transpose(0, 2, 1, 3), v.transpose(0, 2, 1, 3)
@@ -272,6 +341,8 @@ class PagedKVCache:
     def advance(self, rows, n_new: int) -> None:
         """Commit ``n_new`` appended positions of ``rows`` (once per forward step)."""
         rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
+        if n_new < 0:
+            raise ValueError(f"advance by a negative count ({n_new})")
         if np.any(self._lengths[rows] + n_new > self.max_seq_len):
             raise ValueError("advance past the cache capacity")
         self._lengths[rows] += n_new
@@ -287,6 +358,8 @@ class PagedKVCache:
             self._tables[row] = []
             self._covered[row] = 0
             self._lengths[row] = 0
+            if self._home_ids is not None:
+                self._page_ids[row] = self._home_ids[row]
 
     # --------------------------------------------------- request lifecycle
     def match_prefix(self, tokens) -> int:
@@ -392,3 +465,8 @@ class PagedKVCache:
     def peak_memory_bits(self) -> float:
         """High-water mark of :meth:`memory_bits` over the cache's lifetime."""
         return float(self.pool.peak_pages_in_use * self.page_size) * self.bits_per_token()
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array

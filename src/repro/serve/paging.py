@@ -5,9 +5,11 @@ from (the vLLM/SGLang idiom):
 
 * :class:`BlockPool` — all K/V storage lives in fixed-size *pages* of
   ``page_size`` token positions (every layer, both K and V sides).  Pages are
-  handed out from a free list and reference-counted, so a cached prefix page
-  can be held by the radix index and by every request that adopted it at
-  once.
+  handed out lowest free id first and reference-counted, so a cached prefix
+  page can be held by the radix index and by every request that adopted it
+  at once.  A page can also be claimed at a chosen block id and moved
+  between blocks, which lets the cache keep each slot's pages on fixed home
+  blocks.
 * :class:`RadixIndex` — a radix tree over token ids at page granularity:
   each node owns one *full* page and is keyed by the ``page_size`` token ids
   it covers.  A new request walks the tree with its prompt and adopts every
@@ -23,8 +25,6 @@ only on tokens ``0..i``, so two requests whose prompts agree on the first
 """
 
 from __future__ import annotations
-
-import heapq
 
 import numpy as np
 
@@ -45,8 +45,11 @@ class BlockPool:
     sequence's block table is one list of ids, not one per layer.  Pages are
     position-major: gathering a row's pages yields ``(pages, page_size,
     heads, head_dim)``, which reshapes for free into consecutive positions.
-    Blocks are allocated lowest-id-first from a heap so allocation order is
-    deterministic, and freed back when their reference count drops to zero.
+    Plain allocation (:meth:`try_alloc`) hands out the lowest free id, so
+    allocation order is deterministic; :meth:`take` claims one chosen free
+    block instead, and :meth:`move` carries a page (values and references)
+    to another block.  A block is free exactly when its reference count is
+    zero.
 
     >>> from repro.llm.config import ModelConfig
     >>> config = ModelConfig(name="doc", vocab_size=64, d_model=8, n_heads=2,
@@ -54,6 +57,7 @@ class BlockPool:
     >>> pool = BlockPool(config, num_blocks=4, page_size=8)
     >>> block = pool.alloc()
     >>> pool.retain(block)            # a second holder (e.g. the radix index)
+    0
     >>> pool.refcount(block), pool.num_free
     (2, 3)
     >>> pool.release(block); pool.release(block)
@@ -73,8 +77,7 @@ class BlockPool:
         self.k_store = [np.zeros(shape) for _ in range(config.n_layers)]
         self.v_store = [np.zeros(shape) for _ in range(config.n_layers)]
         self._refcounts = np.zeros(self.num_blocks, dtype=np.int64)
-        self._free = list(range(self.num_blocks))  # heap: lowest id first
-        heapq.heapify(self._free)
+        self._num_free = self.num_blocks
         self._peak_pages = 0
 
     # ------------------------------------------------------------- allocation
@@ -84,25 +87,36 @@ class BlockPool:
 
     @property
     def num_free(self) -> int:
-        return len(self._free)
+        return self._num_free
 
     @property
     def pages_in_use(self) -> int:
-        return self.num_blocks - len(self._free)
+        return self.num_blocks - self._num_free
 
     @property
     def peak_pages_in_use(self) -> int:
         """High-water mark of concurrently allocated pages."""
         return self._peak_pages
 
-    def try_alloc(self) -> int:
-        """Allocate one page (refcount 1), or return ``None`` when empty."""
-        if not self._free:
-            return None
-        block = heapq.heappop(self._free)
+    def _claim(self, block: int) -> None:
         self._refcounts[block] = 1
+        self._num_free -= 1
         self._peak_pages = max(self._peak_pages, self.pages_in_use)
+
+    def try_alloc(self) -> int:
+        """Allocate the lowest free page (refcount 1), or ``None`` when empty."""
+        if not self._num_free:
+            return None
+        block = int(np.argmin(self._refcounts))  # counts are >= 0: the first zero
+        self._claim(block)
         return block
+
+    def take(self, block: int) -> bool:
+        """Allocate ``block`` itself (refcount 1) if it is free; O(1)."""
+        if self._refcounts[block]:
+            return False
+        self._claim(block)
+        return True
 
     def alloc(self) -> int:
         """Allocate one page (refcount 1); raises :class:`PoolExhaustedError`."""
@@ -138,7 +152,20 @@ class BlockPool:
             raise ValueError(f"double free of block {block}")
         self._refcounts[block] -= 1
         if self._refcounts[block] == 0:
-            heapq.heappush(self._free, int(block))
+            self._num_free += 1
+
+    def move(self, src: int, dst: int) -> None:
+        """Move the page in ``src`` to the freshly allocated ``dst``.
+
+        Copies the page's K/V on every layer and its reference count;
+        ``src`` keeps ``dst``'s single reference, so it comes back as a
+        fresh page for the caller.  Every holder of ``src`` (block tables,
+        radix nodes) must be repointed to ``dst``.
+        """
+        for store in self.k_store + self.v_store:
+            store[dst] = store[src]
+        self._refcounts[dst] = self._refcounts[src]
+        self._refcounts[src] = 1
 
 
 class _RadixNode:
@@ -161,18 +188,20 @@ class RadixIndex:
     chains survive the requests that built them; a chain whose blocks are
     referenced *only* by the index (refcount 1) is evictable.  Access
     recency is a logical tick, not wall time, so LRU order is reproducible.
+    Nodes are also found by block id, so :meth:`repoint` can follow a page
+    the pool moved to another block.
     """
 
     def __init__(self, pool: BlockPool):
         self.pool = pool
         self.page_size = pool.page_size
         self._root = _RadixNode(key=None, block=None, parent=None)
-        self._num_nodes = 0
+        self._nodes = {}  # block id -> _RadixNode owning it
         self._tick = 0
 
     def __len__(self) -> int:
         """Number of cached pages (tree nodes, excluding the root)."""
-        return self._num_nodes
+        return len(self._nodes)
 
     def _touch(self, node: _RadixNode) -> None:
         self._tick += 1
@@ -230,28 +259,27 @@ class RadixIndex:
                 child = _RadixNode(key=key, block=self.pool.retain(blocks[page]),
                                    parent=node)
                 node.children[key] = child
-                self._num_nodes += 1
+                self._nodes[child.block] = child
                 inserted += 1
             self._touch(child)
             node = child
         return inserted
 
+    def repoint(self, old: int, new: int) -> None:
+        """Follow a page the pool moved from block ``old`` to ``new``."""
+        node = self._nodes.pop(old, None)
+        if node is not None:
+            node.block = new
+            self._nodes[new] = node
+
     # -------------------------------------------------------------- eviction
     def owned_blocks(self) -> list:
         """Block ids the index holds a reference on (one per tree node)."""
-        return [node.block for node in self._walk()]
+        return list(self._nodes)
 
     def evictable_blocks(self) -> int:
         """Pages held only by the index (refcount 1) — reclaimable supply."""
-        return sum(1 for node in self._walk()
-                   if self.pool.refcount(node.block) == 1)
-
-    def _walk(self):
-        stack = list(self._root.children.values())
-        while stack:
-            node = stack.pop()
-            stack.extend(node.children.values())
-            yield node
+        return sum(1 for block in self._nodes if self.pool.refcount(block) == 1)
 
     def evict_one(self) -> bool:
         """Evict the least-recently-used unreferenced leaf page.
@@ -262,7 +290,7 @@ class RadixIndex:
         Returns ``False`` when nothing is evictable.
         """
         victim = None
-        for node in self._walk():
+        for node in self._nodes.values():
             if node.children or self.pool.refcount(node.block) != 1:
                 continue
             if victim is None or node.last_access < victim.last_access:
@@ -271,12 +299,12 @@ class RadixIndex:
             return False
         self.pool.release(victim.block)
         del victim.parent.children[victim.key]
-        self._num_nodes -= 1
+        del self._nodes[victim.block]
         return True
 
     def clear(self) -> None:
         """Drop every cached chain (releases all index-owned references)."""
-        for node in list(self._walk()):
-            self.pool.release(node.block)
+        for block in self._nodes:
+            self.pool.release(block)
         self._root.children.clear()
-        self._num_nodes = 0
+        self._nodes.clear()

@@ -69,6 +69,33 @@ class TestAppendAdvance:
         with pytest.raises(ValueError, match="capacity"):
             cache.advance([0], 5)
 
+    def test_negative_advance_raises_and_leaves_the_row_intact(self, tiny_model_config):
+        """A negative count would move the write offset before position 0."""
+        cache = PagedKVCache(tiny_model_config, batch_size=1, page_size=4)
+        k, v = self._kv(tiny_model_config, 1, 2)
+        cache.append(0, [0], k, v)
+        cache.advance([0], 2)
+        with pytest.raises(ValueError, match="negative"):
+            cache.advance([0], -5)
+        np.testing.assert_array_equal(cache.lengths, [2])
+        k2, v2 = self._kv(tiny_model_config, 1, 1, seed=1)
+        cache.append(0, [0], k2, v2)
+        cache.advance([0], 1)
+        k_ctx, _ = cache.context(0, [0], 3)
+        np.testing.assert_array_equal(k_ctx, np.concatenate([k, k2], axis=2))
+
+    @pytest.mark.parametrize("num_blocks", [None, 16], ids=["home_pool", "small_pool"])
+    @pytest.mark.parametrize("context_len", [-1, 33])
+    def test_context_len_outside_capacity_raises(self, tiny_model_config, num_blocks,
+                                                 context_len):
+        """Rejected on both read paths; a view would silently come back short."""
+        cache = PagedKVCache(tiny_model_config, batch_size=2, max_seq_len=32,
+                             page_size=4, num_blocks=num_blocks)
+        k, v = self._kv(tiny_model_config, 2, 3)
+        cache.append(0, [0, 1], k, v)
+        with pytest.raises(ValueError, match="context_len"):
+            cache.context(0, [0, 1], context_len)
+
 
 class TestQuantisedStorage:
     @pytest.mark.parametrize("kv_spec", ["int4", "BBFP(4,2)", "bfp8@b32"])

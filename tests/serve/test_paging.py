@@ -12,7 +12,8 @@ from repro.quant import get_quantizer
 from repro.serve.engine import EngineConfig, ServeEngine, VirtualClock
 from repro.serve.kv_cache import PagedKVCache
 from repro.serve.paging import BlockPool, PoolExhaustedError, RadixIndex
-from repro.serve.workload import SharedPrefixConfig, generate_shared_prefix_requests
+from repro.serve.workload import (SharedPrefixConfig, WorkloadConfig, generate_requests,
+                                  generate_shared_prefix_requests)
 
 
 @pytest.fixture
@@ -51,6 +52,26 @@ class TestBlockPool:
         assert pool.try_alloc() is None
         with pytest.raises(PoolExhaustedError):
             pool.alloc()
+
+    def test_take_claims_a_chosen_block_that_plain_allocation_then_skips(self, pool):
+        assert pool.take(2) and not pool.take(2)
+        assert pool.refcount(2) == 1 and pool.num_free == 15
+        assert [pool.alloc() for _ in range(3)] == [0, 1, 3]
+        pool.release(2)
+        assert pool.alloc() == 2  # back on the free list, lowest id first
+        assert pool.peak_pages_in_use == 4
+
+    def test_move_carries_values_and_references(self, pool):
+        src, dst = pool.alloc(), pool.alloc()
+        pool.retain(src)
+        for store in pool.k_store + pool.v_store:
+            store[src] = np.random.default_rng(0).standard_normal(store[src].shape)
+        expected = [store[src].copy() for store in pool.k_store + pool.v_store]
+        pool.move(src, dst)
+        for store, page in zip(pool.k_store + pool.v_store, expected):
+            np.testing.assert_array_equal(store[dst], page)
+        assert (pool.refcount(src), pool.refcount(dst)) == (1, 2)
+        assert pool.pages_in_use == 2
 
     def test_invalid_shapes_rejected(self, tiny_model_config):
         with pytest.raises(ValueError, match="num_blocks"):
@@ -91,7 +112,7 @@ class TestBlockPoolStress:
             pool.release(block)
         assert pool.num_free == pool.capacity
         assert not pool._refcounts.any()
-        assert sorted(pool._free) == list(range(pool.capacity))
+        assert [pool.alloc() for _ in range(pool.capacity)] == list(range(pool.capacity))
 
     def test_stress_through_the_paged_cache_lifecycle(self, tiny_model_config):
         """Random begin/append/retire/reset cycles leave no leaked pages."""
@@ -131,6 +152,149 @@ class TestBlockPoolStress:
         cache.index.clear()
         assert cache.pool.num_free == cache.pool.capacity
         assert not cache.pool._refcounts.any()
+
+    @pytest.mark.parametrize("pool_size", ["below", "at", "above"])
+    @pytest.mark.parametrize("page_size", [1, 3, 4, 16, 32])
+    def test_relocation_keeps_every_value_and_reference(self, tiny_model_config,
+                                                        page_size, pool_size):
+        """Home placement moves pages between blocks; no holder sees a change.
+
+        Random begin/append/advance/commit/retire/reset cycles over three
+        slots, with prompts drawn from a few base sequences so prefixes hit
+        and the index fills the pool until LRU eviction runs.  As in a real
+        model, the K/V of a position is a function of the tokens up to it,
+        so the independent model of a row's context is its token sequence.
+        After every operation: every row reads back exactly its model's
+        values, every refcount equals its table holders plus index owner,
+        and ``context`` returns a read-only view of the pool exactly when
+        the blocks it reads are a run of consecutive slots' home blocks
+        (only pools with a home for every slot position have them).
+        """
+        config, batch, max_seq_len = tiny_model_config, 3, 32
+        per_slot = -(-max_seq_len // page_size)
+        num_blocks = {"below": 2 * per_slot, "at": batch * per_slot,
+                      "above": (batch + 1) * per_slot}[pool_size]
+        cache = PagedKVCache(config, batch_size=batch, max_seq_len=max_seq_len,
+                             page_size=page_size, num_blocks=num_blocks)
+        homed = pool_size != "below"
+        rng = np.random.default_rng(page_size * 10 + len(pool_size))
+        bases = [tuple(int(t) for t in rng.integers(0, 8, size=max_seq_len))
+                 for _ in range(3)]
+        values = {}
+
+        def kv_of(tokens):
+            """(layers, 2, heads, head_dim) K/V of the last of ``tokens``."""
+            if tokens not in values:
+                seed = hash(tokens) & 0xFFFFFFFF
+                values[tokens] = np.random.default_rng(seed).standard_normal(
+                    (config.n_layers, 2, config.n_heads, config.head_dim))
+            return values[tokens]
+
+        def expected(tokens):  # (2, layers, heads, positions, head_dim)
+            kv = np.stack([kv_of(tokens[:i + 1]) for i in range(len(tokens))], axis=-2)
+            return kv.transpose(1, 0, 2, 3, 4)
+
+        tokens = {row: () for row in range(batch)}
+        hits, views, moves, evictions = 0, 0, [], []
+        move, evict = cache.pool.move, cache.index.evict_one
+        cache.pool.move = lambda src, dst: (moves.append(src), move(src, dst))[1]
+        cache.index.evict_one = lambda: (evictions.append(evict()), evictions[-1])[1]
+
+        def read(rows, context_len, seqs=None):
+            """One ``context`` read per layer, checked against the model."""
+            nonlocal views
+            seqs = seqs or [tokens[row] for row in rows]
+            reads = []  # the blocks the read covers; past a table's end, home
+            for row in rows:
+                table = cache._tables[row]
+                reads.append([table[p] if p < len(table) else row * per_slot + p
+                              for p in range(-(-context_len // page_size))])
+            lo = rows[0] if rows else 0
+            home_run = homed and bool(rows) and lo + len(rows) <= batch and all(
+                block == (lo + j) * per_slot + p
+                for j, blocks in enumerate(reads) for p, block in enumerate(blocks))
+            for layer in range(config.n_layers):
+                k, v = cache.context(layer, rows, context_len)
+                assert k.shape == v.shape == (len(rows), config.n_heads, context_len,
+                                              config.head_dim)
+                for side, store in ((k, cache.pool.k_store[layer]),
+                                    (v, cache.pool.v_store[layer])):
+                    assert side.flags.writeable != home_run
+                    if side.size:  # an empty array shares no memory
+                        assert np.shares_memory(side, store) == home_run
+                for j, seq in enumerate(seqs):
+                    if seq:
+                        want = expected(seq)
+                        np.testing.assert_array_equal(k[j, :, :len(seq)], want[0, layer])
+                        np.testing.assert_array_equal(v[j, :, :len(seq)], want[1, layer])
+            views += home_run
+
+        def check():
+            held = collections.Counter(
+                block for row in range(batch) for block in cache._tables[row])
+            held.update(cache.index.owned_blocks())
+            refcounts = cache.pool._refcounts
+            assert {int(b): int(refcounts[b]) for b in np.flatnonzero(refcounts)} == held
+            full = max(len(seq) for seq in tokens.values())
+            for lo in range(batch):
+                for hi in range(lo + 1, batch + 1):
+                    rows = list(range(lo, hi))
+                    read(rows, max(len(tokens[row]) for row in rows))
+            read([2, 0], full)
+            read([1, 0], full)
+            read([], full)
+
+        def write(row, new):
+            """Append ``new`` tokens' K/V on every layer, read it back, advance."""
+            seq = tokens[row] + new
+            kv = np.stack([kv_of(seq[:i + 1]) for i in range(len(tokens[row]), len(seq))],
+                          axis=-2)
+            if -(-len(seq) // page_size) - len(cache._tables[row]) > cache.available_blocks:
+                with pytest.raises(PoolExhaustedError):
+                    cache.append(0, [row], kv[0, 0][None], kv[0, 1][None])
+                cache.reset(rows=[row])
+                tokens[row] = ()
+                return False
+            for layer in range(config.n_layers):
+                cache.append(layer, [row], kv[layer, 0][None], kv[layer, 1][None])
+            read([row], len(seq), [seq])  # appended, not yet advanced
+            cache.advance([row], len(new))
+            tokens[row] = seq
+            return True
+
+        base_of = {row: bases[row] for row in range(batch)}
+        for _ in range(200):
+            row = int(rng.integers(batch))
+            action = rng.random()
+            if action < 0.3:  # admit: adopt the cached prefix, prefill the rest
+                cache.retire_request(row, tokens[row])
+                base_of[row] = bases[int(rng.integers(len(bases)))]
+                prompt = base_of[row][:int(rng.integers(2, max_seq_len))]
+                matched = cache.begin_request(row, prompt)
+                hits += matched > 0
+                tokens[row] = prompt[:matched]
+                if write(row, prompt[matched:]) and rng.random() < 0.5:
+                    cache.commit_prefix(row, prompt)
+            elif action < 0.75 and len(tokens[row]) < max_seq_len:  # decode
+                start = len(tokens[row])
+                n = int(rng.integers(1, min(4, max_seq_len - start) + 1))
+                write(row, base_of[row][start:start + n] if rng.random() < 0.7 else
+                      tuple(int(t) for t in rng.integers(0, 8, size=n)))
+            elif action < 0.85:
+                cache.commit_prefix(row, tokens[row])
+            elif action < 0.93:
+                cache.retire_request(row, tokens[row])
+                tokens[row] = ()
+            else:
+                cache.reset(rows=[row])
+                tokens[row] = ()
+            check()
+
+        assert any(evictions)
+        assert views > 0 if homed else views == 0
+        assert bool(moves) == homed  # pages really were moved off home blocks
+        if page_size < max_seq_len:
+            assert hits > 0
 
 
 class TestRadixIndex:
@@ -183,6 +347,16 @@ class TestRadixIndex:
         assert len(index.match((0, 1, 2, 3, 4, 5, 6, 7))) == 1  # leaf before parent
         assert index.evict_one() and not index.evict_one()
         assert pool.num_free == pool.capacity
+
+    def test_repoint_follows_a_moved_page(self, pool):
+        index = RadixIndex(pool)
+        blocks = [pool.alloc(), pool.alloc()]
+        index.insert(tuple(range(8)), blocks)
+        moved = pool.alloc()
+        index.repoint(blocks[1], moved)
+        index.repoint(99, 98)  # a block no node owns: nothing to follow
+        assert [node.block for node in index.match(tuple(range(8)))] == [blocks[0], moved]
+        assert sorted(index.owned_blocks()) == sorted([blocks[0], moved])
 
     def test_acquired_chains_are_not_evictable(self, pool):
         index = RadixIndex(pool)
@@ -398,3 +572,92 @@ class TestAppendsWriteOnlyPrivatePages:
         assert report.cancelled == 1 and report.timed_out == 1
         assert report.reused_tokens > 0 and any(evictions)
         assert sum(checked_pages) > 0  # the check saw already-allocated pages
+
+
+class TestHomePlacementReads:
+    """Counts (not timings) behind the gather-free decode read.
+
+    With a pool block for every slot position, each slot's own pages sit on
+    its home blocks, so ``context`` over consecutive slots is a view of the
+    pool; a slot reading an adopted prefix page elsewhere gathers.
+    """
+
+    @staticmethod
+    def _record_reads(cache):
+        """Wrap ``cache.context``; one record per read: rows, length, view?, off-home?"""
+        per_slot = -(-cache.max_seq_len // cache.page_size)
+        reads = []
+        context = cache.context
+
+        def recorded(layer, rows, context_len):
+            k, v = context(layer, rows, context_len)
+            rows = [int(row) for row in np.atleast_1d(rows)]
+            pages = -(-context_len // cache.page_size)
+            off_home = any(block != row * per_slot + page for row in rows
+                           for page, block in enumerate(cache._tables[row][:pages]))
+            view = np.may_share_memory(k, cache.pool.k_store[layer])
+            assert np.may_share_memory(v, cache.pool.v_store[layer]) == view
+            reads.append((rows, context_len, view, off_home))
+            return k, v
+
+        cache.context = recorded
+        return reads
+
+    @staticmethod
+    def _tokens(report):
+        return {c.request.request_id: c.generated_tokens for c in report.completed}
+
+    def test_consecutive_slots_read_views_and_gather_nothing(self, tiny_inference_model):
+        requests = generate_requests(
+            tiny_inference_model.config.vocab_size,
+            WorkloadConfig(num_requests=12, arrival_rate=0.0, prompt_tokens=(4, 12),
+                           new_tokens=(4, 16), seed=2))
+        engine = ServeEngine(tiny_inference_model,
+                             EngineConfig(max_batch_size=4, kv_page_size=4),
+                             clock=VirtualClock())
+        reads = self._record_reads(engine.cache)
+        report = engine.run(requests)
+        assert report.reused_tokens == 0  # unique prompts: every page is a slot's own
+        consecutive = [read for read in reads
+                       if read[0] == list(range(read[0][0], read[0][0] + len(read[0])))]
+        gathered = sum(len(rows) * context_len
+                       for rows, context_len, view, _ in consecutive if not view)
+        assert gathered == 0
+        assert sum(len(rows) > 1 for rows, *_ in consecutive) > 0  # batched decodes
+        assert engine.audit_kv_pages()["leaked"] == []
+
+        # a pool one block short of a home per slot position gathers every read
+        per_slot = -(-engine.cache.max_seq_len // 4)
+        small = ServeEngine(tiny_inference_model,
+                            EngineConfig(max_batch_size=4, kv_page_size=4,
+                                         num_kv_blocks=4 * per_slot - 1),
+                            clock=VirtualClock())
+        small_reads = self._record_reads(small.cache)
+        small_report = small.run(requests)
+        assert not any(view for _, _, view, _ in small_reads)
+        assert self._tokens(small_report) == self._tokens(report)
+        assert small_report.summary() == report.summary()
+
+    @pytest.mark.parametrize("page_size", [1, 4])
+    def test_adopted_prefix_rows_gather_with_dense_layout_tokens(self, tiny_inference_model,
+                                                                 page_size):
+        workload = SharedPrefixConfig(num_requests=16, arrival_rate=0.0, num_prefixes=2,
+                                      prefix_tokens=12, unique_tokens=(1, 4),
+                                      new_tokens=(4, 10), seed=3)
+        requests = generate_shared_prefix_requests(
+            tiny_inference_model.config.vocab_size, workload)
+        engine = ServeEngine(tiny_inference_model,
+                             EngineConfig(max_batch_size=4, kv_page_size=page_size),
+                             clock=VirtualClock())
+        reads = self._record_reads(engine.cache)
+        report = engine.run(requests)
+        dense = ServeEngine(tiny_inference_model,
+                            EngineConfig(max_batch_size=4,
+                                         kv_page_size=tiny_inference_model.config.max_seq_len),
+                            clock=VirtualClock()).run(requests)
+        assert report.reused_tokens > 0 and dense.reused_tokens == 0
+        assert self._tokens(report) == self._tokens(dense)
+        off_home = [read for read in reads if read[3]]
+        assert off_home and not any(view for _, _, view, _ in off_home)
+        assert any(view for _, _, view, _ in reads)
+        assert engine.audit_kv_pages()["leaked"] == []
