@@ -6,7 +6,8 @@ incremental path embeds only the new position and attends over cached K/V.
 This suite records decode tokens/s for both paths on a fast-model setting
 and asserts the cached path is at least 5x faster at seq_len >= 64 — the
 acceptance bar for the serving layer being a real optimisation rather than
-bookkeeping.
+bookkeeping.  Beside the timed bar it counts the token positions each loop
+sends through the model, which is exact and needs no clock.
 """
 
 from __future__ import annotations
@@ -35,6 +36,21 @@ def bench_model():
                          n_layers=3, d_ff=384, max_seq_len=PROMPT_LEN + DECODE_TOKENS + 8,
                          arch="llama", seed=0)
     return InferenceModel(config, TransformerLM(config).state_dict())
+
+
+class _PositionCounter:
+    """Passes calls on to ``model``, counting the token positions sent through it."""
+
+    def __init__(self, model):
+        self.model, self.config, self.positions = model, model.config, 0
+
+    def forward(self, tokens):
+        self.positions += np.asarray(tokens).size
+        return self.model.forward(tokens)
+
+    def forward_step(self, tokens, cache, rows=None):
+        self.positions += np.asarray(tokens).size
+        return self.model.forward_step(tokens, cache, rows)
 
 
 def _decode_uncached(model, prompt, n_tokens):
@@ -69,8 +85,13 @@ def test_kv_cached_decode_is_at_least_5x_faster(bench_model):
     rng = np.random.default_rng(0)
     prompt = rng.integers(0, bench_model.config.vocab_size, size=PROMPT_LEN)
     # identical tokens first: the speedup must not come from different work
-    assert _decode_uncached(bench_model, prompt, DECODE_TOKENS) == \
-        _decode_cached(bench_model, prompt, DECODE_TOKENS)
+    uncached_model, cached_model = _PositionCounter(bench_model), _PositionCounter(bench_model)
+    assert _decode_uncached(uncached_model, prompt, DECODE_TOKENS) == \
+        _decode_cached(cached_model, prompt, DECODE_TOKENS)
+    # the work behind the bar: the prompt once, then one position per new
+    # token (127), against the whole growing context per token (3,568)
+    assert cached_model.positions == PROMPT_LEN + DECODE_TOKENS - 1
+    assert uncached_model.positions == sum(PROMPT_LEN + i for i in range(DECODE_TOKENS))
     uncached = _tokens_per_second(_decode_uncached, bench_model, prompt)
     cached = _tokens_per_second(_decode_cached, bench_model, prompt)
     speedup = cached / uncached

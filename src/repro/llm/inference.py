@@ -203,28 +203,35 @@ class InferenceModel:
 
     # --------------------------------------------------------------- helpers
     def _linear(self, name: str, x: np.ndarray) -> np.ndarray:
-        weight = self.state[f"{name}.weight"]
-        bias = self.state.get(f"{name}.bias")
-        kind = name.rsplit(".", 1)[-1]
-        if self._recorder is not None and kind in self._recorder.layer_kinds:
+        """``x @ W + b`` as one 2-D GEMM over all rows and positions of ``x``.
+
+        numpy runs a stacked ``(rows, 1, in) @ (in, out)`` as one GEMV per row,
+        reading ``W`` once per row; flattened, a decode step reads it once.  A
+        batched row's logits may then differ in the last bits from the row alone
+        (BLAS sums in a row-count-dependent order).  Padding a lone row would
+        not make them exact, as attention reduces over the batch's longest
+        context, and costs 8-16% per batch-1 step: tokens stay batch-invariant.
+        """
+        if self._recorder is not None and name.rsplit(".", 1)[-1] in self._recorder.layer_kinds:
             self._recorder.records.setdefault(name, []).append(np.array(x, copy=True))
-        quantize = self.scheme.quantize_lm_head or kind != "lm_head"
+        if name not in self._weight_cache:
+            quantize = self.scheme.quantize_lm_head or name.rsplit(".", 1)[-1] != "lm_head"
+            weight = self.state[f"{name}.weight"]
+            weight = self.scheme.weight_fn(name, weight) if quantize else weight
+            self._weight_cache[name] = weight, self.state.get(f"{name}.bias"), quantize
+        weight, bias, quantize = self._weight_cache[name]
         if quantize:
-            if name not in self._weight_cache:
-                self._weight_cache[name] = self.scheme.weight_fn(name, weight)
-            weight = self._weight_cache[name]
             x = self.scheme.activation_fn(name, x)
-        out = x @ weight
+        out = x.reshape(-1, weight.shape[0]) @ weight
         if bias is not None:
-            out = out + bias
-        return out
+            out += bias
+        return out.reshape(x.shape[:-1] + weight.shape[1:])
 
     def _norm(self, prefix: str, x: np.ndarray) -> np.ndarray:
-        if self.config.norm == "rmsnorm":
-            gain = self.state[f"{prefix}.gain"]
-            mean_square = np.mean(x**2, axis=-1, keepdims=True)
-            return x / np.sqrt(mean_square + 1e-5) * gain
         gain = self.state[f"{prefix}.gain"]
+        if self.config.norm == "rmsnorm":
+            mean_square = np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1]
+            return x / np.sqrt(mean_square + 1e-5) * gain
         bias = self.state[f"{prefix}.bias"]
         mu = x.mean(axis=-1, keepdims=True)
         var = np.mean((x - mu) ** 2, axis=-1, keepdims=True)
@@ -260,32 +267,18 @@ class InferenceModel:
         return self._attend(prefix, scores, v)
 
     def _attention_step(self, index: int, x: np.ndarray, cache, rows: np.ndarray,
-                        start: np.ndarray) -> np.ndarray:
-        """Attention over cached K/V plus the new positions in ``x``.
+                        context_len: int, mask: np.ndarray) -> np.ndarray:
+        """Append the new positions' K/V to ``cache``, then attend over its context.
 
-        ``start[b]`` is the number of already-cached positions of row
-        ``rows[b]`` before this step; the new keys/values are appended to the
-        cache (where the cache's quantiser, if any, is applied) and the new
-        queries attend over the full cached context.  With ``start == 0`` and
-        an unquantised cache this computes exactly :meth:`_attention`
-        (equivalence pinned by ``tests/serve/test_forward_step.py``).
+        Queries see each row's first ``context_len`` positions under ``mask``; on a
+        fresh, unquantised cache this computes exactly :meth:`_attention`.
         """
-        cfg = self.config
-        _, n_new, _ = x.shape
         prefix = f"blocks.{index}.attention"
         q, k, v = self._qkv_heads(prefix, x)
         cache.append(index, rows, k, v)
-        context_len = int((start + n_new).max())
         k_ctx, v_ctx = cache.context(index, rows, context_len)
-        scores = q @ k_ctx.transpose(0, 1, 3, 2) / np.sqrt(cfg.head_dim)
-        # Causal mask generalised to a cached context: key at absolute
-        # position j is visible to the query at absolute position p iff
-        # j <= p.  The same 0 / -1e9 additive values as causal_mask, so the
-        # start == 0 full-prefix case reproduces the forward() numerics.
-        key_pos = np.arange(context_len)
-        query_pos = start[:, None] + np.arange(n_new)[None, :]
-        mask = (key_pos[None, None, :] > query_pos[:, :, None]) * -1e9
-        scores = scores + mask[:, None, :, :]
+        scores = q @ k_ctx.transpose(0, 1, 3, 2) / np.sqrt(self.config.head_dim)
+        scores += mask  # in place: a second scores array would raise the heap's peak
         return self._attend(prefix, scores, v_ctx)
 
     def _mlp(self, index: int, x: np.ndarray) -> np.ndarray:
@@ -299,12 +292,17 @@ class InferenceModel:
         hidden = self.scheme.nonlinear_fn(self.config.activation, hidden)
         return self._linear(f"{prefix}.fc2", hidden)
 
+    def _token_batch(self, tokens) -> np.ndarray:
+        """``(batch, seq)`` int64 ids; raises on an id a lookup would wrap or overrun."""
+        tokens = np.atleast_2d(np.asarray(tokens, dtype=np.int64))
+        if tokens.size and (tokens.min() < 0 or tokens.max() >= self.config.vocab_size):
+            raise ValueError(f"token ids must lie in the vocabulary [0, {self.config.vocab_size})")
+        return tokens
+
     # ---------------------------------------------------------------- public
     def forward(self, tokens: np.ndarray) -> np.ndarray:
         """Return logits ``(batch, seq, vocab)`` for integer ``tokens``."""
-        tokens = np.asarray(tokens, dtype=np.int64)
-        if tokens.ndim == 1:
-            tokens = tokens[None, :]
+        tokens = self._token_batch(tokens)
         _, seq_len = tokens.shape
         if seq_len > self.config.max_seq_len:
             raise ValueError(
@@ -327,18 +325,16 @@ class InferenceModel:
         already-processed context of each sequence.  ``rows`` selects which
         cache slots the batch rows correspond to (all slots by default), so a
         continuous-batching engine can prefill one request and batch-decode
-        another set in interleaved calls.  Keys/values of the new positions
-        are appended to the cache — through the cache's quantiser when one is
-        configured — and the cache lengths advance by ``n_new``.
+        another set in interleaved calls; rows must be distinct slots.  Keys/values
+        of the new positions are appended to the cache — through the cache's
+        quantiser when one is configured — and the cache lengths advance by ``n_new``.
 
         Returns logits ``(batch, n_new, vocab)`` for the new positions only.
         A fresh cache plus one call over a whole prompt computes exactly
         :meth:`forward`; subsequent single-token calls continue it in O(1)
         forward cost per token instead of re-running the full prefix.
         """
-        tokens = np.asarray(tokens, dtype=np.int64)
-        if tokens.ndim == 1:
-            tokens = tokens[None, :]
+        tokens = self._token_batch(tokens)
         batch, n_new = tokens.shape
         if n_new == 0:
             raise ValueError("forward_step needs at least one new token")
@@ -353,18 +349,24 @@ class InferenceModel:
             rows = np.asarray(rows, dtype=np.int64)
             if rows.size != batch:
                 raise ValueError(f"rows ({rows.size}) must match the token batch ({batch})")
-        start = cache.lengths[rows].copy()
+            slots = rows.tolist()
+            if len(set(slots)) < batch or not all(0 <= r < cache.batch_size for r in slots):
+                raise ValueError(f"rows {slots} must be distinct slots in [0, {cache.batch_size})")
+        start = cache.lengths[rows]
+        context_len = int(start.max()) + n_new
         limit = min(cache.max_seq_len, self.config.max_seq_len)
-        if np.any(start + n_new > limit):
-            raise ValueError(
-                f"cached context plus {n_new} new token(s) exceeds max_seq_len {limit}"
-            )
+        if context_len > limit:
+            raise ValueError(f"context of {context_len} positions exceeds max_seq_len {limit}")
         positions = start[:, None] + np.arange(n_new)[None, :]
+        # Causal mask over a cached context: key j is visible to the query at
+        # absolute position p iff j <= p.  causal_mask's 0 / -1e9 values, so a
+        # prefill on a fresh cache reproduces the forward() numerics.
+        mask = (np.arange(context_len) > positions[:, None, :, None]) * -1e9
         x = self.state["token_embedding.weight"][tokens] + \
             self.state["position_embedding.weight"][positions]
         for i in range(self.config.n_layers):
             x = x + self._attention_step(i, self._norm(f"blocks.{i}.attn_norm", x),
-                                         cache, rows, start)
+                                         cache, rows, context_len, mask)
             x = x + self._mlp(i, self._norm(f"blocks.{i}.mlp_norm", x))
         x = self._norm("final_norm", x)
         logits = self._linear("lm_head", x)
@@ -373,9 +375,7 @@ class InferenceModel:
 
     def negative_log_likelihood(self, tokens: np.ndarray) -> float:
         """Mean next-token NLL (nats) of a batch of ``(batch, seq+1)`` token windows."""
-        tokens = np.asarray(tokens, dtype=np.int64)
-        if tokens.ndim == 1:
-            tokens = tokens[None, :]
+        tokens = self._token_batch(tokens)
         logits = self.forward(tokens[:, :-1])
         targets = tokens[:, 1:]
         log_probs = log_softmax(logits, axis=-1)

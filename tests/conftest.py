@@ -14,6 +14,7 @@ from repro.llm.dataset import CorpusConfig, SyntheticCorpus
 from repro.llm.inference import InferenceModel
 from repro.llm.outliers import LLAMA_PROFILE, inject_outliers
 from repro.llm.training import TrainingConfig, train_model
+from repro.llm.transformer import TransformerLM
 
 
 @pytest.fixture(autouse=True)
@@ -92,3 +93,20 @@ def tiny_state_dict(tiny_training_result, tiny_model_config):
 @pytest.fixture
 def tiny_inference_model(tiny_model_config, tiny_state_dict):
     return InferenceModel(tiny_model_config, tiny_state_dict)
+
+
+@pytest.fixture(scope="session")
+def bench_shaped_state():
+    """Random weights of the serving benchmarks' fast-model shape (``perfbench/``).
+
+    Its linears are wide enough that, on OpenBLAS, numpy's per-row GEMV and a
+    GEMM over all rows sum in different orders, so batching moves the last bits.
+    """
+    config = ModelConfig(name="bench-shaped", vocab_size=64, d_model=128, n_heads=4,
+                         n_layers=3, d_ff=384, max_seq_len=160, arch="llama", seed=0)
+    return config, TransformerLM(config).state_dict()
+
+
+@pytest.fixture
+def bench_shaped_model(bench_shaped_state):
+    return InferenceModel(*bench_shaped_state)

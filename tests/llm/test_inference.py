@@ -79,6 +79,12 @@ class TestInferenceModel:
         with pytest.raises(ValueError):
             tiny_inference_model.forward(tokens)
 
+    def test_token_ids_outside_vocabulary_rejected(self, tiny_inference_model):
+        # -1 would otherwise embed the last vocabulary row without an error
+        for bad in (-1, tiny_inference_model.config.vocab_size):
+            with pytest.raises(ValueError, match="vocabulary"):
+                tiny_inference_model.forward(np.array([[1, bad, 2]]))
+
     def test_quantised_scheme_changes_logits(self, tiny_inference_model, rng):
         tokens = rng.integers(0, tiny_inference_model.config.vocab_size, size=(1, 12))
         reference = tiny_inference_model.forward(tokens).copy()
@@ -93,6 +99,18 @@ class TestInferenceModel:
         assert tiny_inference_model._weight_cache
         tiny_inference_model.set_scheme(QuantizationScheme.fp_reference())
         assert not tiny_inference_model._weight_cache
+
+    @pytest.mark.parametrize("batch", [2, 3, 8, 16])
+    @pytest.mark.parametrize("name", ["blocks.0.attention.q_proj", "blocks.1.mlp.down_proj",
+                                      "lm_head"])
+    def test_linear_is_one_gemm_over_all_rows(self, bench_shaped_model, name, batch):
+        # A decode step's (batch, 1, in) input must be one GEMM, reading the
+        # weight once: numpy's stacked matmul would make one GEMV per row,
+        # whose bits differ from the GEMM's on these shapes.
+        weight = bench_shaped_model.state[f"{name}.weight"]
+        x = np.random.default_rng(batch).standard_normal((batch, 1, weight.shape[0]))
+        expected = (x.reshape(-1, weight.shape[0]) @ weight).reshape(batch, 1, -1)
+        assert np.array_equal(bench_shaped_model._linear(name, x), expected)
 
     def test_nll_reasonable(self, tiny_inference_model, small_corpus):
         batch = next(small_corpus.sequential_batches("valid", 2, 24, max_batches=1))

@@ -112,26 +112,35 @@ class TestGreedyDecodeEquivalence:
 
 
 class TestRaggedBatches:
-    def test_decode_with_unequal_cached_lengths_matches_solo_decode(self, tiny_inference_model):
-        model = tiny_inference_model
-        prompts = {0: [1, 2, 3, 4, 5, 6, 7], 1: [9, 8]}
-        shared = PagedKVCache(model.config, batch_size=2, page_size=PAGE_SIZE)
-        solo_logits = {}
-        for row, prompt in prompts.items():
-            tokens = np.array(prompt, dtype=np.int64)[None, :]
-            shared_out = model.forward_step(tokens, shared, rows=[row])
-            solo = PagedKVCache(model.config, batch_size=1, page_size=PAGE_SIZE)
-            np.testing.assert_allclose(shared_out, model.forward_step(tokens, solo),
+    @pytest.mark.parametrize("kv_spec", [None, "BBFP(4,2)", "bfp8@b32"],
+                             ids=["fp16", "bbfp42", "bfp8"])
+    @pytest.mark.parametrize("batch", [2, 3, 8, 16])
+    @pytest.mark.parametrize("model_fixture", ["tiny_inference_model", "bench_shaped_model"])
+    def test_decode_with_unequal_cached_lengths_matches_solo_decode(
+        self, request, model_fixture, batch, kv_spec
+    ):
+        # A batched row's logits may differ from its solo decode in the last
+        # bits (attention reduces over the batch's longest context; the
+        # linears' GEMM sums in a row-count-dependent order), its token must not.
+        model = request.getfixturevalue(model_fixture)
+        rng = np.random.default_rng(batch)
+        prompts = [rng.integers(0, model.config.vocab_size, size=2 + (5 * row) % 13)
+                   for row in range(batch)]
+        shared = PagedKVCache(model.config, batch_size=batch, kv_spec=kv_spec,
+                              page_size=PAGE_SIZE)
+        solos = []
+        for row, prompt in enumerate(prompts):
+            solos.append(PagedKVCache(model.config, batch_size=1, kv_spec=kv_spec,
+                                      page_size=PAGE_SIZE))
+            np.testing.assert_allclose(model.forward_step(prompt[None, :], shared, rows=[row]),
+                                       model.forward_step(prompt[None, :], solos[-1]),
                                        atol=1e-12)
-        # ragged batched decode: row 0 has 7 cached positions, row 1 has 2
-        last = np.array([[prompts[0][-1]], [prompts[1][-1]]], dtype=np.int64)
+        last = np.array([[prompt[-1]] for prompt in prompts], dtype=np.int64)
         batched = model.forward_step(last, shared)
-        for row, prompt in prompts.items():
-            solo = PagedKVCache(model.config, batch_size=1, page_size=PAGE_SIZE)
-            model.forward_step(np.array(prompt, dtype=np.int64)[None, :], solo)
-            solo_logits[row] = model.forward_step(
-                np.array([[prompt[-1]]], dtype=np.int64), solo)
-            np.testing.assert_allclose(batched[row], solo_logits[row][0], atol=1e-10)
+        for row, solo in enumerate(solos):
+            alone = model.forward_step(last[row:row + 1], solo)[0]
+            np.testing.assert_allclose(batched[row], alone, atol=1e-10)
+            assert np.argmax(batched[row, -1]) == np.argmax(alone[-1])
 
 
 class TestErrors:
@@ -155,6 +164,24 @@ class TestErrors:
         cache = PagedKVCache(tiny_inference_model.config, batch_size=1, page_size=PAGE_SIZE)
         with pytest.raises(ValueError, match="at least one"):
             tiny_inference_model.forward_step(np.zeros((1, 0), dtype=np.int64), cache)
+
+    @pytest.mark.parametrize("tokens, rows, match", [
+        ([[5], [7]], [0, 0], "distinct"),      # both rows would write slot 0's next position
+        ([[5]], [-1], "slots in"),             # would silently address the last slot
+        ([[5]], [2], "slots in"),              # past the cache batch
+        ([[-1]], [1], "vocabulary"),           # would silently embed the last token
+        ([[None]], [1], "vocabulary"),         # None: the vocabulary size itself
+    ], ids=["repeated-row", "negative-row", "row-past-batch", "negative-token",
+            "token-past-vocab"])
+    def test_bad_rows_and_tokens_rejected_before_any_write(self, tiny_inference_model,
+                                                           tokens, rows, match):
+        model = tiny_inference_model
+        cache = PagedKVCache(model.config, batch_size=2, page_size=PAGE_SIZE)
+        model.forward_step(np.array([[1, 2, 3]]), cache, rows=[0])
+        tokens = [[model.config.vocab_size if t is None else t for t in row] for row in tokens]
+        with pytest.raises(ValueError, match=match):
+            model.forward_step(np.array(tokens), cache, rows=rows)
+        np.testing.assert_array_equal(cache.lengths, [3, 0])
 
 
 class TestQuantisedKV:
