@@ -5,9 +5,9 @@ admission+prefill+decode iteration to completion.  The :class:`Gateway` makes
 it servable from an asyncio event loop without threads:
 
 * **one pump task** (:meth:`Gateway.pump`) steps the engine whenever it has
-  work and yields to the event loop between steps (``await asyncio.sleep(0)``
+  work and yields to the event loop between steps (two or more loop turns
   after each step, a real wait when idle), so socket reads/writes interleave
-  with model compute at step granularity;
+  with model compute at step granularity and a newcomer joins the next step;
 * **everything else runs between steps**: HTTP handlers submit and cancel on
   the same loop, so no engine call ever races a ``step()`` — cancellation
   releases KV pages synchronously, before the response is written;
@@ -38,6 +38,11 @@ from repro.obs import Observability
 from repro.serve.engine import Request
 
 __all__ = ["GatewayConfig", "Gateway", "GatewayDraining"]
+
+#: Most loop turns the pump yields after a step (see :meth:`Gateway.pump`).
+#: A new connection needs ~5 turns from ``accept()`` to ``submit()``; the cap
+#: bounds what a client that never sends costs a step (~4 us a turn).
+_MAX_TURNS_PER_STEP = 16
 
 
 class GatewayDraining(RuntimeError):
@@ -89,6 +94,8 @@ class Gateway:
         self._wake = asyncio.Event()
         self._pump_task = None
         self._stopped = False
+        # connections the HTTP server accepted whose request is not read yet
+        self.pending_connections = 0
         self.counters = {"submitted": 0, "completed": 0, "shed": 0,
                          "cancelled": 0, "timed_out": 0}
         # default to the engine's bundle so one registry carries both the
@@ -260,7 +267,12 @@ class Gateway:
 
     # ------------------------------------------------------------------ pump
     async def pump(self) -> None:
-        """Step the engine cooperatively until stopped (see module docstring)."""
+        """Step the engine cooperatively until stopped (see module docstring).
+
+        After a step it yields two loop turns (a connection that arrived during
+        the step is accepted in the first, counted by the second), then more
+        while any is pending, up to ``_MAX_TURNS_PER_STEP``.
+        """
         while not self._stopped:
             if self.engine.has_work:
                 queued_before = self.engine.queue_depth
@@ -269,7 +281,11 @@ class Gateway:
                 made_progress = (records or self.engine.num_active
                                  or self.engine.queue_depth != queued_before)
                 if made_progress:
-                    await asyncio.sleep(0)  # yield: let I/O run between steps
+                    turns = 0       # let I/O, and newcomers, run between steps
+                    while turns < 2 or (self.pending_connections
+                                        and turns < _MAX_TURNS_PER_STEP):
+                        await asyncio.sleep(0)
+                        turns += 1
                 else:
                     # queued work the engine cannot admit yet (future arrival
                     # or blocked head-of-line): a real wait, not a busy spin

@@ -1,9 +1,9 @@
 """Asyncio HTTP/1.1 front door over a :class:`~repro.gateway.driver.Gateway`.
 
-Pure stdlib (``asyncio.start_server`` + hand-rolled HTTP parsing — no web
-framework dependency), one connection per request, every response carries
-``Connection: close`` so bodies are delimited by EOF and the wire protocol
-stays trivially debuggable with ``curl``.
+Pure stdlib (its own listening socket + ``loop.connect_accepted_socket`` +
+hand-rolled HTTP parsing — no web framework dependency), one connection per
+request, every response carries ``Connection: close`` so bodies are delimited
+by EOF and the wire protocol stays trivially debuggable with ``curl``.
 
 Endpoints
 ---------
@@ -54,6 +54,7 @@ from __future__ import annotations
 import asyncio
 import json
 import signal
+import socket
 import time
 from typing import Callable, Optional
 
@@ -64,6 +65,7 @@ __all__ = ["GatewayServer", "serve_gateway"]
 
 _MAX_HEADER_BYTES = 16 * 1024
 _MAX_BODY_BYTES = 4 * 1024 * 1024
+_BACKLOG = 100              # listen() backlog and accepts per wake-up, as asyncio's
 
 
 def _response(status: int, reason: str, body: bytes, content_type: str,
@@ -99,22 +101,58 @@ class GatewayServer:
         self.host = host
         self.port = port            # 0 = ephemeral; real port filled in by start()
         self.access_log = access_log
-        self._server = None
+        self._listener = None
+        self._connecting = set()    # connect tasks, held until done
 
     # -------------------------------------------------------------- lifecycle
     async def start(self) -> None:
         """Start accepting connections and the gateway pump."""
         self.gateway.start()
-        self._server = await asyncio.start_server(self._handle, self.host, self.port)
-        self.port = self._server.sockets[0].getsockname()[1]
+        loop = asyncio.get_running_loop()
+        family = (await loop.getaddrinfo(self.host, self.port, type=socket.SOCK_STREAM,
+                                         flags=socket.AI_PASSIVE))[0][0]
+        # sets SO_REUSEADDR on POSIX, and IPV6_V6ONLY for IPv6, as asyncio does
+        self._listener = socket.create_server((self.host, self.port), family=family,
+                                              backlog=_BACKLOG)
+        self._listener.setblocking(False)
+        self.port = self._listener.getsockname()[1]
+        loop.add_reader(self._listener, self._accept)
 
     async def shutdown(self) -> dict:
         """Graceful stop: close the listener, drain the gateway, report stats."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        if self._listener is not None:
+            asyncio.get_running_loop().remove_reader(self._listener)
+            self._listener.close()
+            self._listener = None
         return await self.gateway.drain()
+
+    # ------------------------------------------------------------- accepting
+    def _accept(self) -> None:
+        """Listener callback; a connection is pending until its request is read."""
+        loop = asyncio.get_running_loop()
+        for _ in range(_BACKLOG):
+            try:
+                sock, _addr = self._listener.accept()
+            except (BlockingIOError, InterruptedError, ConnectionAbortedError):
+                return
+            self.gateway.pending_connections += 1
+            task = loop.create_task(self._connect(sock))
+            self._connecting.add(task)
+            task.add_done_callback(self._connected)
+
+    async def _connect(self, sock: socket.socket) -> None:
+        try:
+            await asyncio.get_running_loop().connect_accepted_socket(
+                lambda: asyncio.StreamReaderProtocol(asyncio.StreamReader(),
+                                                     self._handle), sock)
+        except OSError:     # the client reset before its transport existed
+            sock.close()
+            self.gateway.pending_connections -= 1   # no _handle will run
+
+    def _connected(self, task: asyncio.Task) -> None:
+        self._connecting.discard(task)
+        if not task.cancelled():
+            task.result()   # an unexpected error goes to the loop's handler
 
     # ------------------------------------------------------------ HTTP plumbing
     async def _handle(self, reader: asyncio.StreamReader,
@@ -128,6 +166,8 @@ class GatewayServer:
                 writer.write(_json_response(400, "Bad Request", {"error": str(err)}))
                 status = 400
                 return
+            finally:
+                self.gateway.pending_connections -= 1
             status = await self._route(method, path, headers, body, writer)
         except (ConnectionResetError, BrokenPipeError):
             pass                    # client went away mid-response: their call
@@ -166,7 +206,10 @@ class GatewayServer:
                 continue
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        length = headers.get("content-length", "0") or "0"
+        if not (length.isascii() and length.isdigit()):
+            raise _BadRequest(f"bad Content-Length {length!r}")
+        length = int(length)
         if length > _MAX_BODY_BYTES:
             raise _BadRequest("request body too large")
         body = await reader.readexactly(length) if length else b""

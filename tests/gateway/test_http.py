@@ -12,8 +12,9 @@ import pytest
 from repro.gateway.driver import Gateway, GatewayConfig
 from repro.gateway.loadgen import _post, _read_http_head, _sse_events
 from repro.gateway.server import GatewayServer, serve_gateway
-from repro.serve.engine import EngineConfig, ServeEngine, WallClock
+from repro.serve.engine import EngineConfig, Request, ServeEngine, WallClock
 from repro.serve.workload import WorkloadConfig, generate_trace
+from tests.gateway import shutdown
 
 
 def make_server(model, gateway_config=None, **engine_kwargs):
@@ -24,30 +25,11 @@ def make_server(model, gateway_config=None, **engine_kwargs):
     return GatewayServer(gateway, port=0)
 
 
-async def get(host, port, path):
-    """Minimal GET; returns (status, parsed JSON body)."""
+async def exchange(host, port, request: bytes):
+    """Send raw request bytes; returns (status, headers, parsed JSON body)."""
     reader, writer = await asyncio.open_connection(host, port)
     try:
-        writer.write(f"GET {path} HTTP/1.1\r\nHost: {host}\r\n\r\n".encode())
-        await writer.drain()
-        status, headers = await _read_http_head(reader)
-        raw = await reader.read()
-        length = headers.get("content-length")
-        if length is not None:
-            raw = raw[:int(length)]
-        return status, json.loads(raw.decode()) if raw else {}
-    finally:
-        writer.close()
-
-
-async def post_raw(host, port, path, body: bytes, content_type="application/json"):
-    """POST arbitrary bytes; returns (status, headers, parsed JSON body)."""
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        writer.write((f"POST {path} HTTP/1.1\r\nHost: {host}\r\n"
-                      f"Content-Type: {content_type}\r\n"
-                      f"Content-Length: {len(body)}\r\n"
-                      f"Connection: close\r\n\r\n").encode() + body)
+        writer.write(request)
         await writer.drain()
         status, headers = await _read_http_head(reader)
         raw = await reader.read()
@@ -59,15 +41,40 @@ async def post_raw(host, port, path, body: bytes, content_type="application/json
         writer.close()
 
 
+async def get(host, port, path):
+    """Minimal GET; returns (status, parsed JSON body)."""
+    status, _headers, body = await exchange(
+        host, port, f"GET {path} HTTP/1.1\r\nHost: {host}\r\n\r\n".encode())
+    return status, body
+
+
+def post_bytes(host, path, body: bytes, content_type="application/json") -> bytes:
+    """A complete POST request with a correct ``Content-Length``."""
+    return (f"POST {path} HTTP/1.1\r\nHost: {host}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            f"Connection: close\r\n\r\n").encode() + body
+
+
+async def post_raw(host, port, path, body: bytes, content_type="application/json"):
+    """POST arbitrary bytes; returns (status, headers, parsed JSON body)."""
+    return await exchange(host, port, post_bytes(host, path, body, content_type))
+
+
+async def until(predicate, timeout=10.0):
+    """Poll ``predicate`` on the loop; a stall fails the test instead of hanging."""
+    async def poll():
+        while not predicate():
+            await asyncio.sleep(0.001)
+    await asyncio.wait_for(poll(), timeout)
+
+
 async def stream_generate(host, port, payload):
     """POST /v1/generate with stream=true; returns the raw SSE event list."""
     body = json.dumps({**payload, "stream": True}).encode()
     reader, writer = await asyncio.open_connection(host, port)
     try:
-        writer.write((f"POST /v1/generate HTTP/1.1\r\nHost: {host}\r\n"
-                      f"Content-Type: application/json\r\n"
-                      f"Content-Length: {len(body)}\r\n"
-                      f"Connection: close\r\n\r\n").encode() + body)
+        writer.write(post_bytes(host, "/v1/generate", body))
         await writer.drain()
         status, _headers = await _read_http_head(reader)
         assert status == 200, status
@@ -84,7 +91,7 @@ class TestRoutes:
             health = await get(server.host, server.port, "/healthz")
             stats = await get(server.host, server.port, "/stats")
             missing = await get(server.host, server.port, "/nope")
-            await server.shutdown()
+            await shutdown(server)
             return health, stats, missing
 
         health, stats, missing = asyncio.run(scenario())
@@ -103,7 +110,7 @@ class TestRoutes:
             status, _headers, body = await post_raw(
                 server.host, server.port, "/v1/generate",
                 json.dumps({"prompt_tokens": [1, 2, 3], "max_new_tokens": 4}).encode())
-            await server.shutdown()
+            await shutdown(server)
             return status, body
 
         status, body = asyncio.run(scenario())
@@ -114,6 +121,9 @@ class TestRoutes:
 
     def test_malformed_requests_get_400(self, tiny_inference_model):
         async def scenario():
+            unhandled = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: unhandled.append(context))
             server = make_server(tiny_inference_model)
             await server.start()
             host, port = server.host, server.port
@@ -125,13 +135,21 @@ class TestRoutes:
                 await post_raw(host, port, "/v1/generate",
                                json.dumps({"prompt_tokens": [10**9]}).encode()),
                 await post_raw(host, port, "/v1/cancel/banana", b""),
+                # post_raw computes the length itself: these need raw bytes
+                await exchange(host, port, b"POST /v1/generate HTTP/1.1\r\n"
+                                           b"Content-Length: abc\r\n\r\n{}"),
+                await exchange(host, port, b"POST /v1/generate HTTP/1.1\r\n"
+                                           b"Content-Length: -5\r\n\r\n{}"),
             ]
-            await server.shutdown()
-            return results
+            await shutdown(server)
+            return results, unhandled
 
-        for status, _headers, body in asyncio.run(scenario()):
+        results, unhandled = asyncio.run(scenario())
+        for status, _headers, body in results:
             assert status == 400
             assert "error" in body
+        assert "Content-Length" in results[-1][2]["error"]
+        assert unhandled == []      # no handler died with an uncaught error
 
     def test_cancel_endpoint_is_idempotent_over_http(self, tiny_inference_model):
         async def scenario():
@@ -139,7 +157,7 @@ class TestRoutes:
             await server.start()
             status, unknown = await _post(server.host, server.port,
                                           "/v1/cancel/42", None)
-            await server.shutdown()
+            await shutdown(server)
             return status, unknown
 
         status, body = asyncio.run(scenario())
@@ -155,7 +173,7 @@ class TestStreaming:
             events = await stream_generate(server.host, server.port,
                                            {"prompt_tokens": [2, 4, 6],
                                             "max_new_tokens": 3})
-            await server.shutdown()
+            await shutdown(server)
             return events
 
         events = asyncio.run(scenario())
@@ -194,7 +212,7 @@ class TestStreaming:
                     break
             writer.close()
             audit = server.gateway.engine.audit_kv_pages()
-            stats = await server.shutdown()
+            stats = await shutdown(server)
             return events, audit, stats
 
         events, audit, stats = asyncio.run(scenario())
@@ -228,7 +246,7 @@ class TestStreaming:
                     "top_k": request.top_k,
                     "seed": request.seed,
                 }) for request in trace))
-            stats = await server.shutdown()
+            stats = await shutdown(server)
             return streams, stats
 
         streams, stats = asyncio.run(scenario())
@@ -240,6 +258,103 @@ class TestStreaming:
                 f"request {request.request_id}: gateway stream diverged from the "
                 f"offline engine replay"
             )
+
+
+class TestAdmission:
+    def test_a_request_is_admitted_by_the_first_step_after_it_is_sent(
+            self, tiny_inference_model):
+        """Counted, not timed: engine steps from a request's write to its admission.
+
+        A first stream keeps decoding throughout, so the pump never idles;
+        the count includes the admitting step.
+        """
+        async def scenario():
+            server = make_server(tiny_inference_model)
+            engine, sessions = server.gateway.engine, server.gateway.sessions
+            steps, admitted = [0], {}
+            step, on_admit = engine.step, engine.on_admit
+
+            def counting_step():
+                steps[0] += 1
+                return step()
+
+            def recording_admit(request_id, now):
+                admitted[request_id] = (steps[0], sessions[0].state)
+                on_admit(request_id, now)
+
+            engine.step, engine.on_admit = counting_step, recording_admit
+            await server.start()
+            host, port = server.host, server.port
+            first = asyncio.ensure_future(stream_generate(
+                host, port, {"prompt_tokens": [1, 2], "max_new_tokens": 60}))
+            await until(lambda: sessions and sessions[0].tokens)
+            body = json.dumps({"prompt_tokens": [3, 4], "max_new_tokens": 2}).encode()
+            for _ in range(4):
+                reader, writer = await asyncio.open_connection(host, port)
+                steps[0] = 0
+                writer.write(post_bytes(host, "/v1/generate", body))
+                await writer.drain()
+                assert (await _read_http_head(reader))[0] == 200
+                await reader.read()
+                writer.close()
+            first_events = await first
+            await shutdown(server)
+            return admitted, first_events
+
+        admitted, first_events = asyncio.run(scenario())
+        assert first_events[-1][1]["state"] == "DONE"
+        assert sorted(admitted) == [0, 1, 2, 3, 4]
+        for request_id in (1, 2, 3, 4):
+            assert admitted[request_id] == (1, "DECODE"), (request_id, admitted)
+
+    def test_silent_clients_cannot_stall_decoding(self, tiny_inference_model):
+        request = Request(0, (5, 6, 7), max_new_tokens=8)
+        solo = ServeEngine(tiny_inference_model,
+                           EngineConfig(max_batch_size=2, kv_page_size=4),
+                           clock=WallClock()).run([request]).completed[0]
+
+        async def scenario():
+            server = make_server(tiny_inference_model)
+            await server.start()
+            host, port = server.host, server.port
+            _, silent = await asyncio.open_connection(host, port)
+            _, half = await asyncio.open_connection(host, port)
+            half.write(b"POST /v1/generate HTTP/1.1\r\nHost: x\r\n")
+            await until(lambda: server.gateway.pending_connections == 2)
+            events = await asyncio.wait_for(stream_generate(host, port, {
+                "prompt_tokens": list(request.prompt_tokens),
+                "max_new_tokens": request.max_new_tokens}), timeout=10)
+            still_pending = server.gateway.pending_connections
+            silent.close()
+            half.close()
+            await until(lambda: server.gateway.pending_connections == 0)
+            stats = await shutdown(server)
+            return events, still_pending, stats
+
+        events, still_pending, stats = asyncio.run(scenario())
+        assert still_pending == 2       # still connected, still pending
+        assert tuple(payload["token"] for name, payload in events
+                     if name == "token") == solo.generated_tokens
+        assert stats["completed"] == 1 and stats["kv_leaked_pages"] == 0
+
+    def test_a_connection_whose_transport_fails_is_closed_and_not_pending(
+            self, tiny_inference_model, monkeypatch):
+        async def scenario():
+            async def reset(protocol_factory, sock):
+                raise ConnectionResetError("reset before the transport existed")
+
+            monkeypatch.setattr(asyncio.get_running_loop(),
+                                "connect_accepted_socket", reset)
+            server = make_server(tiny_inference_model)
+            await server.start()
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            reply = await asyncio.wait_for(reader.read(), timeout=10)
+            writer.close()
+            await until(lambda: server.gateway.pending_connections == 0)
+            await shutdown(server)
+            return reply
+
+        assert asyncio.run(scenario()) == b""    # closed without a response
 
 
 class TestSheddingOverHttp:
@@ -267,7 +382,7 @@ class TestSheddingOverHttp:
                 json.dumps({"prompt_tokens": [3, 4], "max_new_tokens": 2}).encode())
             await long_task
             queued_status, _, _ = await queued_task
-            stats = await server.shutdown()
+            stats = await shutdown(server)
             return status, headers, body, queued_status, stats
 
         status, headers, body, queued_status, stats = asyncio.run(scenario())
@@ -289,7 +404,7 @@ class TestSheddingOverHttp:
                 host, port, "/v1/generate",
                 json.dumps({"prompt_tokens": [1, 2]}).encode())
             server.gateway.draining = False
-            await server.shutdown()
+            await shutdown(server)
             return health, status, body
 
         health, status, body = asyncio.run(scenario())
@@ -325,6 +440,7 @@ class TestGracefulShutdown:
         assert stats["draining"] is True
         assert stats["completed"] == 1
         assert stats["kv_leaked_pages"] == 0
+        assert gateway.pending_connections == 0
         assert announcements[0].startswith("gateway listening on ")
         assert announcements[-1].startswith("gateway drained: ")
         # new connections are refused once the listener is closed

@@ -19,6 +19,7 @@ from repro.gateway.loadgen import (
 from repro.gateway.server import GatewayServer
 from repro.serve.engine import EngineConfig, ServeEngine, WallClock
 from repro.serve.workload import WorkloadConfig
+from tests.gateway import shutdown
 
 
 class TestConfig:
@@ -90,7 +91,7 @@ class TestEndToEnd:
                 cancel_every=4, cancel_after_tokens=1)
             report = await loadgen(server.host, server.port,
                                    tiny_inference_model.config.vocab_size, config)
-            stats = await server.shutdown()
+            stats = await shutdown(server)
             return report, stats
 
         report, stats = asyncio.run(scenario())
@@ -125,7 +126,7 @@ class TestEndToEnd:
                 box["stop"] = asyncio.Event()
                 started.set()
                 await box["stop"].wait()
-                box["stats"] = await server.shutdown()
+                box["stats"] = await shutdown(server)
 
             asyncio.run(main())
 
@@ -158,7 +159,7 @@ class TestEndToEnd:
             config = LoadGenConfig(workload=base, time_scale=0.05)
             report = await loadgen(server.host, server.port,
                                    tiny_inference_model.config.vocab_size, config)
-            await server.shutdown()
+            await shutdown(server)
             return report
 
         report = asyncio.run(scenario())

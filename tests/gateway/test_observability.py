@@ -10,6 +10,7 @@ from repro.gateway.loadgen import _read_http_head
 from repro.gateway.server import GatewayServer
 from repro.obs import Observability
 from repro.serve.engine import EngineConfig, ServeEngine, WallClock
+from tests.gateway import shutdown
 
 
 def make_server(model, obs=None, max_batch_size=2, **gateway_kwargs):
@@ -77,7 +78,7 @@ class TestStatsFields:
                                "max_new_tokens": 4}).encode()
             await fetch(server.host, server.port, "/v1/generate", body)
             status, _headers, raw = await fetch(server.host, server.port, "/stats")
-            await server.shutdown()
+            await shutdown(server)
             return status, json.loads(raw)
 
         status, stats = asyncio.run(scenario())
@@ -93,7 +94,7 @@ class TestStatsFields:
         async def scenario():
             server = make_server(tiny_inference_model)
             await server.start()
-            return await server.shutdown()
+            return await shutdown(server)
 
         report = asyncio.run(scenario())
         assert set(report) == STATS_FIELDS | {"kv_audit", "kv_leaked_pages"}
@@ -129,7 +130,7 @@ class TestMetricsEndpoint:
             await reader.read()                 # drain the stream to its end
             writer.close()
             status, headers, raw = await fetch(host, port, "/metrics")
-            await server.shutdown()
+            await shutdown(server)
             return statuses, status, headers, raw.decode()
 
         statuses, status, headers, text = asyncio.run(scenario())
@@ -156,7 +157,7 @@ class TestMetricsEndpoint:
             await server.start()
             status, _headers, raw = await fetch(server.host, server.port,
                                                 "/metrics")
-            await server.shutdown()
+            await shutdown(server)
             return status, raw
 
         status, raw = asyncio.run(scenario())
@@ -185,7 +186,7 @@ class TestMetricsEndpoint:
             writer.close()
             _status, _headers, raw = await fetch(host, port, "/metrics")
             stats = server.gateway.stats()
-            await server.shutdown()
+            await shutdown(server)
             return raw.decode(), stats
 
         text, stats = asyncio.run(scenario())
@@ -210,7 +211,7 @@ class TestAccessLog:
             body = json.dumps({"prompt_tokens": [1, 2, 3],
                                "max_new_tokens": 3}).encode()
             await fetch(server.host, server.port, "/v1/generate", body)
-            await server.shutdown()
+            await shutdown(server)
 
         asyncio.run(scenario())
         entries = [json.loads(line) for line in lines]
@@ -231,7 +232,7 @@ class TestAccessLog:
             await server.start()
             status, _headers, _raw = await fetch(server.host, server.port,
                                                  "/healthz")
-            await server.shutdown()
+            await shutdown(server)
             return status
 
         assert asyncio.run(scenario()) == 200
