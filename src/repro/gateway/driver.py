@@ -34,7 +34,7 @@ from typing import Optional
 from repro.gateway import session as session_states
 from repro.gateway.session import Session, terminal_state_for
 from repro.gateway.shedding import AdmissionGate, ShedConfig
-from repro.obs import Observability
+from repro.obs import Counter, NullMetric, Observability
 from repro.serve.engine import Request
 
 __all__ = ["GatewayConfig", "Gateway", "GatewayDraining"]
@@ -96,30 +96,29 @@ class Gateway:
         self._stopped = False
         # connections the HTTP server accepted whose request is not read yet
         self.pending_connections = 0
-        self.counters = {"submitted": 0, "completed": 0, "shed": 0,
-                         "cancelled": 0, "timed_out": 0}
         # default to the engine's bundle so one registry carries both the
         # gateway_* counters and the engine_* series (one /metrics scrape)
         self.obs = obs if obs is not None else engine.obs
         self._tracer = self.obs.tracer
         registry = self.obs.registry
         labels = self.obs.labels
-        self._m_counters = {
-            key: registry.counter(f"gateway_{key}_total", help_text, labels)
-            for key, help_text in (
-                ("submitted", "Sessions opened (admitted or shed)"),
-                ("completed", "Sessions that finished generation"),
-                ("shed", "Sessions refused or displaced by the admission gate"),
-                ("cancelled", "Sessions cancelled by the client or at drain"),
-                ("timed_out", "Sessions that hit their deadline"),
-            )
-        }
+        # session counts by outcome, read by /stats and /metrics
+        self.counters = {}
+        for key, help_text in (
+            ("submitted", "Sessions opened (admitted or shed)"),
+            ("completed", "Sessions that finished generation"),
+            ("shed", "Sessions refused or displaced by the admission gate"),
+            ("cancelled", "Sessions cancelled by the client or at drain"),
+            ("timed_out", "Sessions that hit their deadline"),
+        ):
+            name = f"gateway_{key}_total"
+            counter = registry.counter(name, help_text, labels)
+            if isinstance(counter, NullMetric):
+                # a disabled registry does not count, and /stats still must
+                counter = Counter(name, help_text)
+            self.counters[key] = counter
         engine.on_admit = self._on_admit
         engine.on_token = self._on_token
-
-    def _count(self, key: str) -> None:
-        self.counters[key] += 1
-        self._m_counters[key].inc()
 
     def _trace_session(self, session: Session, at: float) -> None:
         """One ``session`` span per terminal session, open→terminal.
@@ -200,9 +199,9 @@ class Gateway:
             self.engine.submit(request)     # may raise ValueError: nothing changed yet
         self._next_id += 1
         self.sessions[request.request_id] = session
-        self._count("submitted")
+        self.counters["submitted"].inc()
         if not decision.admit:
-            self._count("shed")
+            self.counters["shed"].inc()
             session.finish(session_states.SHED, at=now)
             session.shed_reason = decision.reason
             self._trace_session(session, now)
@@ -216,7 +215,7 @@ class Gateway:
         """Drop an admission-gate victim from the engine queue (state SHED)."""
         record = self.engine.cancel(request_id)
         session = self.sessions.get(request_id)
-        self._count("shed")
+        self.counters["shed"].inc()
         if session is not None and not session.is_terminal:
             session.finish(session_states.SHED, record, at=now)
             self._trace_session(session, now)
@@ -232,7 +231,7 @@ class Gateway:
         if session is None or session.is_terminal:
             return False
         record = self.engine.cancel(request_id)
-        self._count("cancelled")
+        self.counters["cancelled"].inc()
         now = self.engine.clock.now()
         session.finish(session_states.CANCELLED, record, at=now)
         self._trace_session(session, now)
@@ -257,11 +256,11 @@ class Gateway:
                 continue    # cancelled/shed through the gateway: already final
             state = terminal_state_for(record.finish_reason)
             if state == session_states.DONE:
-                self._count("completed")
+                self.counters["completed"].inc()
             elif state == session_states.TIMEOUT:
-                self._count("timed_out")
+                self.counters["timed_out"].inc()
             elif state == session_states.CANCELLED:
-                self._count("cancelled")
+                self.counters["cancelled"].inc()
             session.finish(state, record, at=record.finish_time)
             self._trace_session(session, record.finish_time)
 
@@ -326,7 +325,7 @@ class Gateway:
             "reused_tokens": engine.reused_tokens,
             "peak_pages_in_use": engine.peak_pages_in_use,
             "sessions": len(self.sessions),
-            **self.counters,
+            **{key: counter.value for key, counter in self.counters.items()},
         }
         if audit:
             audit_report = engine.audit_kv_pages()

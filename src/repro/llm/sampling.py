@@ -25,19 +25,25 @@ def sample_token(logits: np.ndarray, temperature: float = 0.0, top_k: int = 0,
     ``temperature == 0`` selects the argmax (greedy decoding, no ``rng``
     needed); otherwise the logits are divided by the temperature, optionally
     restricted to the ``top_k`` most likely candidates, and a token is drawn
-    from the resulting distribution using ``rng``.
+    from the resulting distribution using ``rng``.  A temperature so small
+    that the scaled logits overflow is treated as its limit, greedy.
     """
     logits = np.asarray(logits, dtype=np.float64).ravel()
-    if temperature < 0:
+    if not temperature >= 0:
         raise ValueError("temperature must be >= 0")
     if temperature == 0.0:
         return int(np.argmax(logits))
     if rng is None:
         raise ValueError("sampling with temperature > 0 requires an rng")
-    scaled = logits / temperature
-    if 0 < top_k < scaled.size:
-        cutoff = np.partition(scaled, -top_k)[-top_k]
-        scaled = np.where(scaled >= cutoff, scaled, -np.inf)
-    probabilities = np.exp(log_softmax(scaled))
+    try:
+        with np.errstate(over="raise"):
+            scaled = logits / temperature
+            if 0 < top_k < scaled.size:
+                cutoff = np.partition(scaled, -top_k)[-top_k]
+                scaled = np.where(scaled >= cutoff, scaled, -np.inf)
+            probabilities = np.exp(log_softmax(scaled))
+    except FloatingPointError:
+        # so small a temperature overflows float64: its limit is greedy
+        return int(np.argmax(logits))
     probabilities /= probabilities.sum()
     return int(rng.choice(probabilities.size, p=probabilities))

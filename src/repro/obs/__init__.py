@@ -14,8 +14,9 @@ reverted at 12.7 % overhead; the budget is ≤5 % fully enabled):
 
 * a **disabled** bundle (:meth:`Observability.disabled`, or simply passing
   ``obs=None`` to any constructor) has ``tracer``/``profiler``/``recorder``
-  of ``None`` — hot paths guard with one ``is not None`` test — and the
-  shared :data:`~repro.obs.metrics.NULL_REGISTRY`, whose metrics are no-op
+  of ``None`` — uses guard with one ``is not None`` test, and an engine
+  attaches a profiler only when there is one — and the shared
+  :data:`~repro.obs.metrics.NULL_REGISTRY`, whose metrics are no-op
   objects, so setup code resolves its counters unconditionally;
 * metric objects are resolved **once at setup** and updated by plain
   attribute arithmetic — never looked up, formatted, or wrapped in a
@@ -50,8 +51,9 @@ class Observability:
 
     ``registry`` is never ``None`` (a disabled bundle holds the null
     registry), so call sites resolve metrics unconditionally.  ``tracer``,
-    ``profiler`` and ``recorder`` are ``None`` when off — the hot-path
-    convention is a single ``is not None`` guard around each use.  ``track``
+    ``profiler`` and ``recorder`` are ``None`` when off — a single ``is not
+    None`` guard around each use (an engine's around attaching the profiler,
+    see :meth:`PhaseProfiler.attach`).  ``track``
     and ``labels`` tell an engine *where* to emit: which trace ``tid`` its
     spans belong on and which label set (e.g. ``{"replica": "r0"}``) its
     series carry.

@@ -1,60 +1,56 @@
 """Phase profiler for the decode hot path.
 
 Answers the ROADMAP's blocking question for the batched array-kernel
-overhaul: *where does a serve step actually spend its wall time?*  The
-engine and the paged KV cache bracket a fixed set of phases around
-``perf_counter()`` pairs:
-
-===================  ==========================================================
-phase                what it times
-===================  ==========================================================
-``admission``        queue pops, budget/page-capacity checks, prefix adoption
-``prefill_forward``  the prompt-suffix ``forward_step`` call
-``decode_forward``   the batched one-token-per-request ``forward_step`` call
-``page_gather``      the KV context read, view or gather (inside the forwards)
-``quantize_append``  quantise-on-append of new K/V (inside the forwards)
-``sampling``         logits → token sampling and stop-condition checks
-``release``          retirement: radix indexing, page release, record building
-===================  ==========================================================
+overhaul: *where does a serve step actually spend its wall time?*  Each
+phase is the wall time spent in one method of a
+:class:`~repro.serve.engine.ServeEngine` or of its paged KV cache — the
+``_SITES`` table below is the one place that says which — and
+:meth:`PhaseProfiler.attach` wraps each of those methods on one engine.
+The engine attaches its bundle's profiler, if it has one, at construction,
+so with telemetry off no timing code runs at all.
 
 ``page_gather`` and ``quantize_append`` are *nested* inside the forward
 phases (the cache is called per layer from within ``forward_step``), so the
 ranked table reports them with ``within="forward"`` and computes ``share``
 over the top-level phases only — the shares of top-level phases sum to 1.
-``page_gather`` keeps its name but times the whole context read: a view of
-the pool when consecutive slots read their home pages, a gather otherwise
-(see :meth:`repro.serve.kv_cache.PagedKVCache.context`).
+``quantize_append`` is booked for unquantised caches too, where
+``_quantize_rows`` only transposes.
 
-The implementation is a pair of preallocated fixed-size arrays indexed by
-integer phase ids — ``add()`` is two list-index increments, no dict lookup,
-no closure, no allocation — so a fully-enabled profiler stays inside the
-serve layer's ≤5 % overhead budget.  Phase timings are always wall-clock
-(``perf_counter``), even under a virtual engine clock: the profiler's job is
-accounting for *real compute*, which is precisely what the virtual clock
-abstracts away.
+Phase timings are always wall-clock (``perf_counter``), even under a
+virtual engine clock: the profiler's job is accounting for *real compute*,
+which is precisely what the virtual clock abstracts away.
 """
 
 from __future__ import annotations
+
+from time import perf_counter
 
 __all__ = ["PhaseProfiler", "PHASES", "ADMISSION", "PREFILL_FORWARD",
            "DECODE_FORWARD", "PAGE_GATHER", "QUANT_APPEND", "SAMPLING",
            "RELEASE"]
 
+#: ``(phase, owner, method)`` in phase-id order: the one method whose calls
+#: each phase times, on the engine or on its cache.
+_SITES = (
+    ("admission", "engine", "_admit"),          # queue pops, budget/page checks, prefix adoption
+    ("prefill_forward", "engine", "_prefill"),  # the prompt-suffix forward
+    ("decode_forward", "engine", "_decode"),    # the batched one-token forward
+    ("page_gather", "cache", "context"),        # the KV context read: pool view or gather
+    ("quantize_append", "cache", "_quantize_rows"),  # quantise-on-append of new K/V
+    ("sampling", "engine", "_sample"),          # logits -> token, stop checks, on_token
+    ("release", "engine", "_release"),          # radix indexing, page release, the record
+)
+
 #: Integer phase ids — list indices into the profiler's preallocated slots.
-ADMISSION = 0
-PREFILL_FORWARD = 1
-DECODE_FORWARD = 2
-PAGE_GATHER = 3
-QUANT_APPEND = 4
-SAMPLING = 5
-RELEASE = 6
+(ADMISSION, PREFILL_FORWARD, DECODE_FORWARD, PAGE_GATHER, QUANT_APPEND,
+ SAMPLING, RELEASE) = range(len(_SITES))
 
 #: Display names, indexed by phase id.
-PHASES = ("admission", "prefill_forward", "decode_forward", "page_gather",
-          "quantize_append", "sampling", "release")
+PHASES = tuple(phase for phase, _owner, _method in _SITES)
 
 #: Phases measured inside a forward call (excluded from the share basis).
-_NESTED = frozenset((PAGE_GATHER, QUANT_APPEND))
+_NESTED = frozenset(phase for phase, (_name, owner, _method) in enumerate(_SITES)
+                    if owner == "cache")
 
 
 class PhaseProfiler:
@@ -67,15 +63,33 @@ class PhaseProfiler:
         self.calls = [0] * len(PHASES)
 
     def add(self, phase: int, dt: float) -> None:
-        """Book ``dt`` wall seconds against ``phase`` (one timed bracket)."""
+        """Book ``dt`` wall seconds against ``phase`` (one timed call)."""
         self.total_s[phase] += dt
         self.calls[phase] += 1
 
-    def merge(self, other: "PhaseProfiler") -> None:
-        """Fold another profiler's slots into this one (fleet aggregation)."""
-        for phase in range(len(PHASES)):
-            self.total_s[phase] += other.total_s[phase]
-            self.calls[phase] += other.calls[phase]
+    def attach(self, engine) -> None:
+        """Time every phase's method on ``engine`` and on its cache.
+
+        Each method is shadowed by an instance attribute that calls it and
+        books the wall time it took, so only this engine is affected.  An
+        engine attaches its bundle's profiler at construction; a fleet's
+        engines all attach the one profiler they share.
+        """
+        owners = {"engine": engine, "cache": engine.cache}
+        for phase, (_name, owner, method) in enumerate(_SITES):
+            target = owners[owner]
+            setattr(target, method, self._timed(phase, getattr(target, method)))
+
+    def _timed(self, phase: int, method):
+        add = self.add
+
+        def timed(*args, **kwargs):
+            start = perf_counter()
+            result = method(*args, **kwargs)
+            add(phase, perf_counter() - start)
+            return result
+
+        return timed
 
     @property
     def top_level_s(self) -> float:

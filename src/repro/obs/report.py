@@ -26,14 +26,14 @@ def load_report_file(path) -> dict:
 
     Returns ``{"kind": "trace" | "profile", "data": <parsed json>}``.
     Trace documents are recognised by their ``traceEvents`` key (or by being
-    a bare event list); profiler snapshots by a ``hotspots`` key (either at
-    top level or nested under ``"profile"``, as the overhead benchmark
-    saves them).
+    a bare event list); profiler snapshots
+    (:meth:`~repro.obs.profiler.PhaseProfiler.snapshot`) by their top-level
+    ``hotspots`` key.
     """
     data = json.loads(Path(path).read_text())
     if isinstance(data, list) or (isinstance(data, dict) and "traceEvents" in data):
         return {"kind": "trace", "data": data}
-    if isinstance(data, dict) and ("hotspots" in data or "profile" in data):
+    if isinstance(data, dict) and "hotspots" in data:
         return {"kind": "profile", "data": data}
     raise ValueError(
         f"{path}: not a trace export or profiler snapshot "
@@ -76,8 +76,7 @@ def render_trace_report(data) -> str:
 
 def render_hotspot_report(data) -> str:
     """Ranked hot-spot table from a saved profiler snapshot."""
-    profile = data.get("profile", data) if isinstance(data, dict) else data
-    rows = profile.get("hotspots", [])
+    rows = data.get("hotspots", [])
     if not rows:
         return "profile: no phases recorded\n"
     rendered = [
@@ -86,7 +85,7 @@ def render_hotspot_report(data) -> str:
          "share": "-" if row.get("share") is None else f"{row['share']:.1%}"}
         for row in rows
     ]
-    total = profile.get("top_level_s", 0.0)
+    total = data.get("top_level_s", 0.0)
     return (f"decode-path profile: {total:.4f}s across top-level phases\n\n"
             f"{format_table(rendered)}\n")
 

@@ -30,6 +30,8 @@ sampled tokens are then exactly reproducible under a fixed seed.
 from __future__ import annotations
 
 import heapq
+import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -40,8 +42,6 @@ from repro.core.stats import percentile_summary
 from repro.llm.inference import InferenceModel
 from repro.llm.sampling import sample_token
 from repro.obs import Observability
-from repro.obs.profiler import (ADMISSION, DECODE_FORWARD, PREFILL_FORWARD,
-                                RELEASE, SAMPLING)
 from repro.serve.kv_cache import PagedKVCache
 
 __all__ = ["Request", "CompletedRequest", "EngineConfig", "ServeEngine", "ServeReport",
@@ -116,10 +116,14 @@ class Request:
                            tuple(int(t) for t in np.asarray(self.prompt_tokens).ravel()))
         if not self.prompt_tokens:
             raise ValueError("prompt_tokens must contain at least one token")
-        if self.max_new_tokens < 1:
-            raise ValueError("max_new_tokens must be >= 1")
-        if self.temperature < 0 or self.top_k < 0:
-            raise ValueError("temperature and top_k must be >= 0")
+        for name, low in (("max_new_tokens", 1), ("top_k", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature!r}")
         if self.deadline is not None and not np.isfinite(self.deadline):
             raise ValueError("deadline must be a finite clock instant (or None)")
 
@@ -190,16 +194,6 @@ class _ActiveRequest:
     @property
     def last_token(self) -> int:
         return self.generated[-1]
-
-    def sample(self, logits: np.ndarray) -> int:
-        token = sample_token(logits, temperature=self.request.temperature,
-                             top_k=self.request.top_k, rng=self.rng)
-        self.generated.append(token)
-        if token == self.request.stop_token:
-            self.finish_reason = "stop_token"
-        elif len(self.generated) >= self.request.max_new_tokens:
-            self.finish_reason = "length"
-        return token
 
 
 # --------------------------------------------------------------------- engine
@@ -347,12 +341,13 @@ class ServeEngine:
         self._timed_out = 0
         # observability: metrics are resolved ONCE here and updated by plain
         # attribute arithmetic; with a disabled bundle every self._m_* is the
-        # shared no-op metric and tracer/profiler are None (one `is not None`
-        # test per hot-path use) — the pay-for-what-you-use contract.
+        # shared no-op metric, the tracer is None (one `is not None` test per
+        # terminal record) and no profiler wraps any method — the
+        # pay-for-what-you-use contract.
         self.obs = obs if obs is not None else Observability.disabled()
         self._tracer = self.obs.tracer
-        self._profiler = self.obs.profiler
-        self.cache.profiler = self._profiler
+        if self.obs.profiler is not None:
+            self.obs.profiler.attach(self)
         registry = self.obs.registry
         labels = self.obs.labels
         self._m_prefill = registry.counter(
@@ -601,100 +596,29 @@ class ServeEngine:
         return cost + outstanding <= self.cache.available_blocks
 
     # -------------------------------------------------------------- stepping
-    def _emit_token(self, state: _ActiveRequest) -> None:
-        if self.on_token is not None:
-            self.on_token(state.request.request_id, state.generated[-1],
-                          self.clock.now())
-
     def step(self) -> list:
         """One scheduling iteration; returns the requests it terminated."""
-        completed_now = []
-        prof = self._profiler
         if not self._active and self._queue:
             # idle engine: fast-forward to the next arrival instead of spinning
             self.clock.wait_until(self._queue[0][0])
-        completed_now.extend(self._expire_queued(self.clock.now()))
-
-        # admission + prefill, in strict arrival order; the clock is re-read
-        # per admission so a request arriving while an earlier prefill ran is
-        # admitted this step and timestamps reflect the real admission instant
+        completed_now = self._expire_queued(self.clock.now())
         while self._queue and self._free_slots:
-            if prof is not None:
-                _t0 = time.perf_counter()
-            now = self.clock.now()
-            arrival, _seq, request = self._queue[0]
-            if arrival > now:
-                if prof is not None:
-                    prof.add(ADMISSION, time.perf_counter() - _t0)
+            admitted = self._admit(completed_now)
+            if admitted is None:
                 break
-            if request.deadline is not None and request.deadline < now:
-                heapq.heappop(self._queue)
-                self._timed_out += 1
-                completed_now.append(self._record_queued_termination(request, "timeout"))
-                if prof is not None:
-                    prof.add(ADMISSION, time.perf_counter() - _t0)
-                continue
-            if (self.active_projected_tokens + request.projected_tokens > self.token_budget
-                    or not self._kv_capacity_ok(request)):
-                if prof is not None:
-                    prof.add(ADMISSION, time.perf_counter() - _t0)
-                break  # head-of-line blocks until budget/pages free up: no starvation
-            heapq.heappop(self._queue)
-            slot = self._free_slots.pop()
-            state = _ActiveRequest(request, slot, admitted_time=now)
-            self._active[slot] = state
-            if self.on_admit is not None:
-                self.on_admit(request.request_id, now)
-            prompt = np.array(request.prompt_tokens, dtype=np.int64)
-            # adopt the longest cached prefix and prefill the rest
-            reused = self.cache.begin_request(slot, request.prompt_tokens)
-            suffix = prompt[reused:]
-            if prof is not None:
-                _t1 = time.perf_counter()
-                prof.add(ADMISSION, _t1 - _t0)
-            logits = self.model.forward_step(suffix[None, :], self.cache, rows=[slot])
-            # the prompt's K/V is complete: index its full pages now so
-            # same-prefix requests admitted this very step already hit
-            self.cache.commit_prefix(slot, request.prompt_tokens)
-            if prof is not None:
-                _t2 = time.perf_counter()
-                prof.add(PREFILL_FORWARD, _t2 - _t1)
-            self._prefill_tokens += suffix.size
-            self._reused_tokens += reused
-            self._m_prefill.inc(suffix.size)
-            self._m_reused.inc(reused)
-            self.clock.on_tokens(suffix.size)
-            state.sample(logits[0, -1])
-            state.first_token_time = self.clock.now()
-            self._emit_token(state)
-            if prof is not None:
-                prof.add(SAMPLING, time.perf_counter() - _t2)
+            state, suffix = admitted
+            self._sample(state, self._prefill(state, suffix)[0, -1])
             if state.finish_reason is not None:
                 completed_now.append(self._release(state))
         self._peak_active = max(self._peak_active, len(self._active))
 
-        # batched decode: one new token for every active request
         if self._active:
-            if prof is not None:
-                _t0 = time.perf_counter()
             slots = sorted(self._active)
-            last_tokens = np.array([[self._active[s].last_token] for s in slots],
-                                   dtype=np.int64)
-            logits = self.model.forward_step(last_tokens, self.cache, rows=slots)
-            if prof is not None:
-                prof.add(DECODE_FORWARD, time.perf_counter() - _t0)
-            self._decode_tokens += len(slots)
-            self._m_decode.inc(len(slots))
-            self.clock.on_tokens(len(slots))
+            logits = self._decode(slots)
             finish_time = self.clock.now()
             for index, slot in enumerate(slots):
                 state = self._active[slot]
-                if prof is not None:
-                    _t1 = time.perf_counter()
-                state.sample(logits[index, -1])
-                self._emit_token(state)
-                if prof is not None:
-                    prof.add(SAMPLING, time.perf_counter() - _t1)
+                self._sample(state, logits[index, -1])
                 deadline = state.request.deadline
                 if (state.finish_reason is None and deadline is not None
                         and deadline < finish_time):
@@ -709,6 +633,76 @@ class ServeEngine:
         self._m_kv_pages.set(self.cache.pages_in_use)
         return completed_now
 
+    def _admit(self, completed_now: list) -> Optional[tuple]:
+        """Admit the head of the line: ``(state, uncached prompt suffix)`` or ``None``.
+
+        Expired heads are timed out onto ``completed_now`` first.  The clock
+        is re-read per head, so a request that arrived during an earlier
+        prefill is admitted this step, stamped with its real admission time.
+        """
+        while self._queue:
+            now = self.clock.now()
+            arrival, _seq, request = self._queue[0]
+            if arrival > now:
+                return None
+            if request.deadline is not None and request.deadline < now:
+                heapq.heappop(self._queue)
+                self._timed_out += 1
+                completed_now.append(self._record_queued_termination(request, "timeout"))
+                continue
+            if (self.active_projected_tokens + request.projected_tokens > self.token_budget
+                    or not self._kv_capacity_ok(request)):
+                return None  # head-of-line blocks until budget/pages free up: no starvation
+            heapq.heappop(self._queue)
+            slot = self._free_slots.pop()
+            state = _ActiveRequest(request, slot, admitted_time=now)
+            self._active[slot] = state
+            if self.on_admit is not None:
+                self.on_admit(request.request_id, now)
+            # adopt the longest cached prefix; prefill computes the rest
+            reused = self.cache.begin_request(slot, request.prompt_tokens)
+            return state, np.array(request.prompt_tokens[reused:], dtype=np.int64)
+        return None
+
+    def _prefill(self, state: _ActiveRequest, suffix: np.ndarray) -> np.ndarray:
+        """Run the prompt suffix through the model; returns its logits."""
+        logits = self.model.forward_step(suffix[None, :], self.cache, rows=[state.slot])
+        # the prompt's K/V is complete: index its full pages now so
+        # same-prefix requests admitted this very step already hit
+        self.cache.commit_prefix(state.slot, state.request.prompt_tokens)
+        reused = len(state.request.prompt_tokens) - suffix.size
+        self._prefill_tokens += suffix.size
+        self._reused_tokens += reused
+        self._m_prefill.inc(suffix.size)
+        self._m_reused.inc(reused)
+        self.clock.on_tokens(suffix.size)
+        return logits
+
+    def _decode(self, slots: list) -> np.ndarray:
+        """One batched forward of each active request's last token; returns its logits."""
+        last_tokens = np.array([[self._active[s].last_token] for s in slots],
+                               dtype=np.int64)
+        logits = self.model.forward_step(last_tokens, self.cache, rows=slots)
+        self._decode_tokens += len(slots)
+        self._m_decode.inc(len(slots))
+        self.clock.on_tokens(len(slots))
+        return logits
+
+    def _sample(self, state: _ActiveRequest, logits: np.ndarray) -> None:
+        """Sample ``state``'s next token, check its stop conditions, report it."""
+        request = state.request
+        token = sample_token(logits, temperature=request.temperature,
+                             top_k=request.top_k, rng=state.rng)
+        state.generated.append(token)
+        if token == request.stop_token:
+            state.finish_reason = "stop_token"
+        elif len(state.generated) >= request.max_new_tokens:
+            state.finish_reason = "length"
+        if state.first_token_time is None:
+            state.first_token_time = self.clock.now()
+        if self.on_token is not None:
+            self.on_token(request.request_id, token, self.clock.now())
+
     def _release(self, state: _ActiveRequest, finish_time: Optional[float] = None,
                  index_pages: bool = True) -> CompletedRequest:
         """Retire an active request: build its record, free its slot and pages.
@@ -718,9 +712,6 @@ class ServeEngine:
         valid); cancellation passes ``False`` so the pages are reclaimed
         outright instead of being cached on the cancelled requester's behalf.
         """
-        prof = self._profiler
-        if prof is not None:
-            _t0 = time.perf_counter()
         done = CompletedRequest(
             request=state.request,
             generated_tokens=tuple(state.generated),
@@ -739,8 +730,6 @@ class ServeEngine:
         self._free_slots.append(state.slot)
         self._free_slots.sort(reverse=True)
         self._completed.append(done)
-        if prof is not None:
-            prof.add(RELEASE, time.perf_counter() - _t0)
         self._m_finished[done.finish_reason].inc()
         if done.first_token_time is not None:
             self._m_ttft.observe(done.first_token_time - done.arrival_time)

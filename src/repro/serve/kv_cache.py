@@ -31,12 +31,9 @@ accuracy cost and the memory saving of a KV format are both measurable.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.llm.config import ModelConfig
-from repro.obs.profiler import PAGE_GATHER, QUANT_APPEND
 from repro.serve.paging import BlockPool, PoolExhaustedError, RadixIndex
 
 __all__ = ["PagedKVCache"]
@@ -106,11 +103,6 @@ class PagedKVCache:
         — enough for a full fleet of worst-case requests, the budget a dense
         layout reserves up front.
     """
-
-    #: Optional :class:`~repro.obs.profiler.PhaseProfiler` attached by the
-    #: owning engine; ``None`` (the class default) costs one attribute test
-    #: at each instrumented site.
-    profiler = None
 
     def __init__(self, config: ModelConfig, batch_size: int, max_seq_len: int = None,
                  kv_spec=None, page_size: int = 16, num_blocks: int = None):
@@ -285,13 +277,7 @@ class PagedKVCache:
         if short.any():
             for row, end in zip(rows[short].tolist(), ends[short].tolist()):
                 self._ensure_capacity(row, end)
-        prof = self.profiler
-        if prof is not None:
-            _t0 = time.perf_counter()
-            k_q, v_q = self._quantize_rows(k_new, v_new)
-            prof.add(QUANT_APPEND, time.perf_counter() - _t0)
-        else:
-            k_q, v_q = self._quantize_rows(k_new, v_new)
+        k_q, v_q = self._quantize_rows(k_new, v_new)
         pages, within = np.divmod(starts[:, None] + np.arange(n_new), self.page_size)
         blocks = self._page_ids[rows[:, None], pages]
         # (rows, n_new) index pairs select (rows, n_new, heads, head_dim) slabs
@@ -314,9 +300,6 @@ class PagedKVCache:
         values the caller must mask (the causal mask of ``forward_step``
         does).
         """
-        prof = self.profiler
-        if prof is not None:
-            _t0 = time.perf_counter()
         rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
         if not 0 <= context_len <= self.max_seq_len:
             raise ValueError(
@@ -334,8 +317,6 @@ class PagedKVCache:
                      self.config.head_dim)
             k = self.pool.k_store[layer][blocks].reshape(shape)[:, :context_len]
             v = self.pool.v_store[layer][blocks].reshape(shape)[:, :context_len]
-        if prof is not None:
-            prof.add(PAGE_GATHER, time.perf_counter() - _t0)
         return k.transpose(0, 2, 1, 3), v.transpose(0, 2, 1, 3)
 
     def advance(self, rows, n_new: int) -> None:

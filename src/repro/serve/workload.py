@@ -26,6 +26,8 @@ accept any of the three shapes through one entry point.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,10 +60,7 @@ class WorkloadConfig:
         if self.num_requests < 1:
             raise ValueError("num_requests must be >= 1")
         validate_arrival_rate(self.arrival_rate)
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0 (0 = greedy decoding)")
-        if self.top_k < 0:
-            raise ValueError("top_k must be >= 0 (0 = no top-k truncation)")
+        _validate_sampling(self.temperature, self.top_k)
         for name in ("prompt_tokens", "new_tokens"):
             lo, hi = getattr(self, name)
             if lo < 1 or hi < lo:
@@ -125,10 +124,10 @@ def _validate_range(name: str, bounds) -> None:
 
 
 def _validate_sampling(temperature: float, top_k: int) -> None:
-    if temperature < 0:
-        raise ValueError("temperature must be >= 0 (0 = greedy decoding)")
-    if top_k < 0:
-        raise ValueError("top_k must be >= 0 (0 = no top-k truncation)")
+    if not (math.isfinite(temperature) and temperature >= 0):
+        raise ValueError("temperature must be finite and >= 0 (0 = greedy decoding)")
+    if not isinstance(top_k, numbers.Integral) or top_k < 0:
+        raise ValueError("top_k must be an integer >= 0 (0 = no top-k truncation)")
 
 
 @dataclass(frozen=True)

@@ -134,6 +134,14 @@ class TestRoutes:
                                json.dumps({"prompt_tokens": [1], "wat": 1}).encode()),
                 await post_raw(host, port, "/v1/generate",
                                json.dumps({"prompt_tokens": [10**9]}).encode()),
+                # values that used to reach the engine and kill or wedge it
+                *[await asyncio.wait_for(post_raw(
+                    host, port, "/v1/generate",
+                    json.dumps({"prompt_tokens": [1], **fields}).encode()), 10)
+                  for fields in ({"temperature": float("nan")},
+                                 {"max_new_tokens": float("nan")},
+                                 {"seed": -1},
+                                 {"temperature": 0.8, "top_k": 2.5})],
                 await post_raw(host, port, "/v1/cancel/banana", b""),
                 # post_raw computes the length itself: these need raw bytes
                 await exchange(host, port, b"POST /v1/generate HTTP/1.1\r\n"
@@ -141,14 +149,19 @@ class TestRoutes:
                 await exchange(host, port, b"POST /v1/generate HTTP/1.1\r\n"
                                            b"Content-Length: -5\r\n\r\n{}"),
             ]
+            # the engine pump survived them: a valid request still finishes
+            after = await asyncio.wait_for(post_raw(
+                host, port, "/v1/generate",
+                json.dumps({"prompt_tokens": [1, 2], "max_new_tokens": 2}).encode()), 10)
             await shutdown(server)
-            return results, unhandled
+            return results, after, unhandled
 
-        results, unhandled = asyncio.run(scenario())
+        results, after, unhandled = asyncio.run(scenario())
         for status, _headers, body in results:
             assert status == 400
             assert "error" in body
         assert "Content-Length" in results[-1][2]["error"]
+        assert after[0] == 200 and after[2]["state"] == "DONE"
         assert unhandled == []      # no handler died with an uncaught error
 
     def test_cancel_endpoint_is_idempotent_over_http(self, tiny_inference_model):

@@ -130,10 +130,11 @@ class TestMetricsEndpoint:
             await reader.read()                 # drain the stream to its end
             writer.close()
             status, headers, raw = await fetch(host, port, "/metrics")
+            _status, _headers, stats = await fetch(host, port, "/stats")
             await shutdown(server)
-            return statuses, status, headers, raw.decode()
+            return statuses, status, headers, raw.decode(), json.loads(stats)
 
-        statuses, status, headers, text = asyncio.run(scenario())
+        statuses, status, headers, text, stats = asyncio.run(scenario())
         assert status == 200
         assert headers["content-type"] == "text/plain; version=0.0.4; charset=utf-8"
         assert statuses[0] == 200 and statuses[-1] == 429
@@ -149,6 +150,9 @@ class TestMetricsEndpoint:
         assert series['engine_ttft_seconds_bucket{le="+Inf"}'] >= 2
         # one registry serves both layers' series in a single scrape
         assert series["engine_decode_tokens_total"] > 0
+        # /stats reads the very counters /metrics exposes
+        for key in ("submitted", "completed", "shed", "cancelled", "timed_out"):
+            assert stats[key] == series[f"gateway_{key}_total"], key
 
     def test_disabled_observability_scrapes_empty_but_valid(
             self, tiny_inference_model):
@@ -192,7 +196,7 @@ class TestMetricsEndpoint:
         text, stats = asyncio.run(scenario())
         series = parse_prometheus(text)["series"]
         assert series["gateway_cancelled_total"] == 1
-        assert stats["cancelled"] == 1      # plain dict counters stay in sync
+        assert stats["cancelled"] == 1      # /stats reads the same counter
 
 
 class TestAccessLog:

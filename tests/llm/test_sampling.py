@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,16 @@ class TestSampleToken:
     def test_negative_temperature_rejected(self):
         with pytest.raises(ValueError, match="temperature"):
             sample_token(np.array([0.0, 1.0]), temperature=-0.5)
+
+    def test_vanishing_temperature_is_greedy(self):
+        # logits / 1e-308 overflows float64, and at 2e-308 the scaled logits
+        # are finite but their spread is not; either way the limit is argmax
+        logits = np.array([0.5, 3.0, -2.0, 2.9])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for temperature in (1e-308, 2e-308):
+                rng = np.random.default_rng(0)
+                assert sample_token(logits, temperature=temperature, rng=rng) == 1
 
     def test_top_k_restricts_the_support(self):
         logits = np.array([10.0, 9.0, -50.0, -60.0])

@@ -43,17 +43,6 @@ def test_hotspots_ranked_hottest_first_and_omit_unhit_phases():
     assert len(rows) == 2   # untouched phases do not appear
 
 
-def test_merge_folds_fleet_profilers():
-    a, b = PhaseProfiler(), PhaseProfiler()
-    a.add(ADMISSION, 0.1)
-    b.add(ADMISSION, 0.2)
-    b.add(SAMPLING, 0.3)
-    a.merge(b)
-    assert a.total_s[ADMISSION] == pytest.approx(0.3)
-    assert a.calls[ADMISSION] == 2
-    assert a.calls[SAMPLING] == 1
-
-
 def test_snapshot_shape():
     prof = PhaseProfiler()
     prof.add(DECODE_FORWARD, 0.4)

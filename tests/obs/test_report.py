@@ -68,12 +68,6 @@ class TestRenderers:
         assert "80.0%" in body      # decode share of top-level time
         assert "forward" in body    # nested marker column
 
-    def test_hotspot_report_handles_nested_profile_key(self):
-        prof = PhaseProfiler()
-        prof.add(SAMPLING, 0.1)
-        text = render_hotspot_report({"profile": prof.snapshot()})
-        assert "sampling" in text
-
     def test_empty_profile(self):
         assert "no phases recorded" in render_hotspot_report(PhaseProfiler().snapshot())
 

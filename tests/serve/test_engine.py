@@ -151,8 +151,19 @@ class TestValidation:
     def test_invalid_request_fields_rejected(self):
         with pytest.raises(ValueError, match="at least one token"):
             Request(request_id=0, prompt_tokens=(), max_new_tokens=2)
-        with pytest.raises(ValueError, match="max_new_tokens"):
-            Request(request_id=0, prompt_tokens=(1,), max_new_tokens=0)
+        # past this check each value crashed step() or wedged the queue head
+        nan = float("nan")
+        for field, value in (("max_new_tokens", 0), ("max_new_tokens", nan),
+                             ("max_new_tokens", 2.5), ("temperature", -0.5),
+                             ("temperature", nan), ("temperature", float("inf")),
+                             ("top_k", -1), ("top_k", 2.5), ("seed", -1),
+                             ("seed", 1.5)):
+            with pytest.raises((TypeError, ValueError), match=field):
+                Request(request_id=0, prompt_tokens=(1,), **{field: value})
+        numpy_ints = Request(request_id=0, prompt_tokens=(1,),
+                             max_new_tokens=np.int64(2), top_k=np.int32(3),
+                             seed=np.uint8(4))
+        assert numpy_ints.projected_tokens == 3
 
     def test_per_tensor_kv_quantisation_is_isolated_per_request(self, tiny_inference_model):
         """A request's tokens must not depend on who shares its decode batch.
@@ -348,12 +359,14 @@ class TestPagedEngine:
 
 class TestWorkloadValidation:
     def test_negative_temperature_rejected(self):
-        with pytest.raises(ValueError, match="temperature"):
-            WorkloadConfig(temperature=-0.1)
+        for temperature in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="temperature"):
+                WorkloadConfig(temperature=temperature)
 
     def test_negative_top_k_rejected(self):
-        with pytest.raises(ValueError, match="top_k"):
-            WorkloadConfig(top_k=-1)
+        for top_k in (-1, 2.5):
+            with pytest.raises(ValueError, match="top_k"):
+                WorkloadConfig(top_k=top_k)
 
     def test_zero_sampling_parameters_stay_valid(self):
         config = WorkloadConfig(temperature=0.0, top_k=0)

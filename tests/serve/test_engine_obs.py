@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.obs import Observability
+from repro.obs.profiler import PAGE_GATHER
 from repro.serve.engine import EngineConfig, Request, ServeEngine, VirtualClock
 
 
@@ -130,9 +131,16 @@ class TestEngineProfiler:
         assert sum(shares) == pytest.approx(1.0)
 
     def test_profiler_reaches_the_kv_cache(self, tiny_inference_model):
+        """attach wraps the engine's own cache, not the cache class."""
         obs = Observability.enabled()
         engine = _engine(tiny_inference_model, obs)
-        assert engine.cache.profiler is obs.profiler
+        bare = _engine(tiny_inference_model, None)
+        wrapped = {"context", "_quantize_rows"}
+        assert wrapped <= set(vars(engine.cache))
+        assert not wrapped & set(vars(bare.cache))
+        engine.cache.context(0, [0], 0)
+        bare.cache.context(0, [0], 0)
+        assert obs.profiler.calls[PAGE_GATHER] == 1
 
     def test_metric_labels_flow_from_the_bundle(self, tiny_inference_model):
         obs = Observability.enabled(labels={"replica": "r7"})
