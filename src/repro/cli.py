@@ -32,21 +32,9 @@ import sys
 import numpy as np
 
 from repro.analysis.reporting import format_table
+from repro.quant import parse_spec
 
-__all__ = ["main", "build_parser", "parse_format"]
-
-
-def parse_format(name: str):
-    """Resolve a command-line format spec into a format config.
-
-    Deprecated shim: this is now a one-line call into the single parser,
-    :func:`repro.quant.parse_spec` (grammar documented there).  Unknown specs
-    raise :class:`repro.quant.UnknownFormatError` — a ``ValueError``, which
-    ``argparse`` turns into a usage error — with a did-you-mean suggestion.
-    """
-    from repro.quant import parse_spec
-
-    return parse_spec(name)
+__all__ = ["main", "build_parser"]
 
 
 _DEFAULT_FORMATS = ("FP16", "INT8", "BFP8", "BFP6", "BFP4", "BBFP(6,3)", "BBFP(4,2)",
@@ -121,7 +109,7 @@ def _cmd_simulate(args) -> int:
     from repro.accelerator.workloads import decoder_workload
     from repro.experiments.fig1_runtime import LLAMA_7B_DIMENSIONS
 
-    strategy = args.strategy if args.strategy in ("Oltron", "Olive") else parse_format(args.strategy)
+    strategy = args.strategy if args.strategy in ("Oltron", "Olive") else parse_spec(args.strategy)
     config = AcceleratorConfig(strategy=strategy, pe_rows=args.pe_rows, pe_cols=args.pe_cols)
     simulator = AcceleratorSimulator(config, nonlinear_style=args.nonlinear)
     workload = decoder_workload(LLAMA_7B_DIMENSIONS, args.seq_len, phase=args.phase)
@@ -149,35 +137,41 @@ def _parse_kv_spec(name: str):
     """
     if name.lower() in ("fp16", "none"):
         return None
-    from repro.quant import parse_spec
-
     parse_spec(name)  # raises UnknownFormatError (an ArgumentTypeError) if bad
     return name
 
 
-def _cmd_serve_bench(args) -> int:
-    from repro.analysis.reporting import save_result
-    from repro.serve.bench import run as serve_bench_run
+def _int_at_least(low: int, what: str):
+    """CLI type for an integer flag that must be ``>= low``; ``what`` names it in the error."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{what} must be >= {low}, got {value}")
+        return value
 
-    # same driver the pipeline registers; the flags are keyword overrides, so
-    # ad-hoc traces keep the full row shape (incl. the kv_perplexity column)
-    result = serve_bench_run(fast=args.fast or None, kv_specs=args.kv_specs,
-                             num_requests=args.num_requests,
-                             arrival_rate=args.arrival_rate,
-                             virtual_clock=True if args.virtual_clock else None,
-                             kv_page_size=args.kv_page_size)
+    parse.__name__ = "int"  # a non-integer reads "invalid int value", as with type=int
+    return parse
+
+
+def _cmd_bench(args) -> int:
+    """Run one serving benchmark, print its result and save it under ``--output-dir``."""
+    from repro.analysis.reporting import save_result
+
+    result = args.bench(args, fast=args.fast or None, num_requests=args.num_requests)
     print(result.to_text())
     if args.output_dir:
         save_result(result, args.output_dir)
     return 0
 
 
-def _parse_page_size(text: str) -> int:
-    """CLI type for ``--kv-page-size``: a positive page length in tokens."""
-    size = int(text)
-    if size < 1:
-        raise argparse.ArgumentTypeError(f"KV page size must be >= 1, got {size}")
-    return size
+def _serve_bench(args, **common):
+    from repro.serve.bench import run
+
+    # the same driver the pipeline registers; the flags are keyword overrides,
+    # so ad-hoc traces keep the full row shape (incl. the kv_perplexity column)
+    return run(**common, kv_specs=args.kv_specs, arrival_rate=args.arrival_rate,
+               virtual_clock=True if args.virtual_clock else None,
+               kv_page_size=args.kv_page_size)
 
 
 def _parse_policy(name: str) -> str:
@@ -187,28 +181,13 @@ def _parse_policy(name: str) -> str:
     return get_policy(name).name  # raises UnknownPolicyError (usage error) if bad
 
 
-def _parse_replica_count(text: str) -> int:
-    """CLI type for ``--replicas``: a positive fleet size."""
-    count = int(text)
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"fleet size must be >= 1, got {count}")
-    return count
+def _cluster_bench(args, **common):
+    from repro.cluster.bench import run
 
-
-def _cmd_cluster_bench(args) -> int:
-    from repro.analysis.reporting import save_result
-    from repro.cluster.bench import run as cluster_bench_run
-
-    result = cluster_bench_run(fast=args.fast or None, policies=args.policies,
-                               replica_counts=args.replicas, kv_specs=args.kv_specs,
-                               num_requests=args.num_requests,
-                               arrival_rate=args.arrival_rate,
-                               workload_kind=args.workload.replace("-", "_"),
-                               kv_page_size=args.kv_page_size)
-    print(result.to_text())
-    if args.output_dir:
-        save_result(result, args.output_dir)
-    return 0
+    return run(**common, policies=args.policies, replica_counts=args.replicas,
+               kv_specs=args.kv_specs, arrival_rate=args.arrival_rate,
+               workload_kind=args.workload.replace("-", "_"),
+               kv_page_size=args.kv_page_size)
 
 
 def _parse_chaos_profile(name: str) -> str:
@@ -218,27 +197,12 @@ def _parse_chaos_profile(name: str) -> str:
     return get_profile(name).name  # raises UnknownProfileError (usage error) if bad
 
 
-def _parse_retries(text: str) -> int:
-    """CLI type for ``--max-retries``: a retry budget >= 0 (0 = no-retry baseline)."""
-    retries = int(text)
-    if retries < 0:
-        raise argparse.ArgumentTypeError(f"max retries must be >= 0, got {retries}")
-    return retries
+def _chaos_bench(args, **common):
+    from repro.cluster.chaos_bench import run
 
-
-def _cmd_chaos_bench(args) -> int:
-    from repro.analysis.reporting import save_result
-    from repro.cluster.chaos_bench import run as chaos_bench_run
-
-    result = chaos_bench_run(fast=args.fast or None, profiles=args.profiles,
-                             policies=args.policies, replica_counts=args.replicas,
-                             num_requests=args.num_requests,
-                             max_retries=args.max_retries, seed=args.seed,
-                             trace_path=args.trace_out)
-    print(result.to_text())
-    if args.output_dir:
-        save_result(result, args.output_dir)
-    return 0
+    return run(**common, profiles=args.profiles, policies=args.policies,
+               replica_counts=args.replicas, max_retries=args.max_retries,
+               seed=args.seed, trace_path=args.trace_out)
 
 
 def _cmd_obs_report(args) -> int:
@@ -268,29 +232,18 @@ def _parse_shed_policy(name: str) -> str:
 def _cmd_gateway(args) -> int:
     import asyncio
 
-    from repro.experiments.common import is_fast_mode
-    from repro.gateway.bench import default_gateway_config, gateway_model_name
+    from repro.experiments.common import load_serving_model, replace_given
+    from repro.gateway.bench import default_gateway_config
     from repro.gateway.driver import Gateway
     from repro.gateway.server import serve_gateway
-    from repro.llm.zoo import default_corpus, load_inference_model
     from repro.serve.bench import default_engine_config
     from repro.serve.engine import ServeEngine, WallClock
 
-    import dataclasses
-
-    fast = is_fast_mode(args.fast or None)
-    model_name = gateway_model_name(fast)
-    model = load_inference_model(model_name, corpus=default_corpus(fast=fast))
-    engine_config = default_engine_config(fast)
-    if args.kv_page_size is not None:
-        engine_config = dataclasses.replace(engine_config, kv_page_size=args.kv_page_size)
-    gateway_config = default_gateway_config(fast, args.shed_policy)
-    if args.max_queue_depth is not None:
-        gateway_config = dataclasses.replace(gateway_config,
-                                             max_queue_depth=args.max_queue_depth)
-    if args.timeout_s is not None:
-        gateway_config = dataclasses.replace(gateway_config,
-                                             default_timeout_s=args.timeout_s)
+    fast, model_name, _, model = load_serving_model(args.fast or None)
+    engine_config = replace_given(default_engine_config(fast), kv_page_size=args.kv_page_size)
+    gateway_config = replace_given(default_gateway_config(fast, args.shed_policy),
+                                   max_queue_depth=args.max_queue_depth,
+                                   default_timeout_s=args.timeout_s)
     engine = ServeEngine(model, engine_config, clock=WallClock())
     gateway = Gateway(engine, gateway_config)
     print(f"serving {model_name} (KV page size {engine_config.kv_page_size}, "
@@ -299,26 +252,37 @@ def _cmd_gateway(args) -> int:
     return 0
 
 
-def _cmd_gateway_bench(args) -> int:
-    from repro.analysis.reporting import save_result
-    from repro.gateway.bench import run as gateway_bench_run
+def _gateway_bench(args, **common):
+    from repro.gateway.bench import run
 
-    result = gateway_bench_run(fast=args.fast or None, rates=args.rates,
-                               num_requests=args.num_requests,
-                               shed_policy=args.shed_policy,
-                               cancel_every=args.cancel_every,
-                               timeout_s=args.timeout_s,
-                               max_queue_depth=args.max_queue_depth)
-    print(result.to_text())
-    if args.output_dir:
-        save_result(result, args.output_dir)
-    return 0
+    return run(**common, rates=args.rates, shed_policy=args.shed_policy,
+               cancel_every=args.cancel_every, timeout_s=args.timeout_s,
+               max_queue_depth=args.max_queue_depth)
+
+
+def _bench_parser(sub, name: str, help: str, fast_help: str, bench):
+    """A benchmark subcommand with the flags every serving benchmark takes.
+
+    ``bench(args, fast=..., num_requests=...)`` maps the subcommand's own
+    flags onto its driver's ``run()`` keywords and returns the result that
+    :func:`_cmd_bench` prints and saves.
+    """
+    parser = sub.add_parser(name, help=help)
+    parser.add_argument("--fast", action="store_true", help=fast_help)
+    parser.add_argument("--num-requests", type=int, default=None,
+                        help="length of the synthetic request trace")
+    parser.add_argument("--output-dir", default=None,
+                        help="also save the result as JSON + text under this directory")
+    parser.set_defaults(func=_cmd_bench, bench=bench)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    page_size = _int_at_least(1, "KV page size")
+    replica_count = _int_at_least(1, "fleet size")
 
     p_list = sub.add_parser("list", help="list available experiments")
     p_list.set_defaults(func=_cmd_list)
@@ -330,12 +294,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_formats = sub.add_parser("formats", help="compare number formats (bits, memory, MAC/PE area)")
-    p_formats.add_argument("--formats", nargs="+", type=parse_format,
+    p_formats.add_argument("--formats", nargs="+", type=parse_spec,
                            default=list(_DEFAULT_FORMATS))
     p_formats.set_defaults(func=_cmd_formats)
 
     p_quant = sub.add_parser("quantize", help="quantise a synthetic tensor and report the error")
-    p_quant.add_argument("--format", required=True, type=parse_format,
+    p_quant.add_argument("--format", required=True, type=parse_spec,
                          help='spec string, e.g. "BBFP(4,2)", bfp8@b32, int8, fp8_e4m3, mxfp4, bie4')
     p_quant.add_argument("--size", type=int, default=4096)
     p_quant.add_argument("--outlier-stride", type=int, default=128)
@@ -353,41 +317,32 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--nonlinear", choices=("bbal", "fp32"), default="bbal")
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_serve = sub.add_parser(
-        "serve-bench",
-        help="continuous-batching serve benchmark (KV cache formats, TTFT/latency/tokens-per-s)")
-    p_serve.add_argument("--fast", action="store_true",
-                         help="small zoo model and short request trace")
+    p_serve = _bench_parser(
+        sub, "serve-bench",
+        help="continuous-batching serve benchmark (KV cache formats, TTFT/latency/tokens-per-s)",
+        fast_help="small zoo model and short request trace", bench=_serve_bench)
     p_serve.add_argument("--kv-specs", nargs="+", default=None, type=_parse_kv_spec,
                          help='KV storage formats to compare, e.g. fp16 "bfp8@b32" int8')
-    p_serve.add_argument("--num-requests", type=int, default=None,
-                         help="length of the synthetic request trace")
     p_serve.add_argument("--arrival-rate", type=float, default=None,
                          help="offered load in requests per second (Poisson arrivals)")
     p_serve.add_argument("--virtual-clock", action="store_true",
                          help="deterministic token-rate clock instead of wall time "
                               "(the default in fast mode)")
-    p_serve.add_argument("--kv-page-size", type=_parse_page_size, default=None,
+    p_serve.add_argument("--kv-page-size", type=page_size, default=None,
                          help="tokens per KV page (fast mode defaults to a small "
                               "page so paging paths are exercised; a page of at "
                               "least max_seq_len disables prefix sharing)")
-    p_serve.add_argument("--output-dir", default=None,
-                         help="also save the result as JSON + text under this directory")
-    p_serve.set_defaults(func=_cmd_serve_bench)
 
-    p_cluster = sub.add_parser(
-        "cluster-bench",
-        help="multi-replica fleet benchmark (routing policies, SLO attainment, imbalance)")
-    p_cluster.add_argument("--fast", action="store_true",
-                           help="small zoo model, small fleets and a short trace")
+    p_cluster = _bench_parser(
+        sub, "cluster-bench",
+        help="multi-replica fleet benchmark (routing policies, SLO attainment, imbalance)",
+        fast_help="small zoo model, small fleets and a short trace", bench=_cluster_bench)
     p_cluster.add_argument("--policies", nargs="+", default=None, type=_parse_policy,
                            help="routing policies to sweep, e.g. round_robin least_loaded")
-    p_cluster.add_argument("--replicas", nargs="+", default=None, type=_parse_replica_count,
+    p_cluster.add_argument("--replicas", nargs="+", default=None, type=replica_count,
                            help="fleet sizes to sweep, e.g. 1 2 4 8")
     p_cluster.add_argument("--kv-specs", nargs="+", default=None, type=_parse_kv_spec,
                            help='KV storage formats per fleet, e.g. fp16 "bfp8@b32" int8')
-    p_cluster.add_argument("--num-requests", type=int, default=None,
-                           help="length of the synthetic request trace")
     p_cluster.add_argument("--arrival-rate", type=float, default=None,
                            help="offered load in requests per second "
                                 "(default: derived from the roofline cost model)")
@@ -396,37 +351,28 @@ def build_parser() -> argparse.ArgumentParser:
                            help="trace shape: independent Poisson prompts, or "
                                 "shared-prefix traffic that exercises radix "
                                 "prefix sharing and prefix_affinity routing")
-    p_cluster.add_argument("--kv-page-size", type=_parse_page_size, default=None,
+    p_cluster.add_argument("--kv-page-size", type=page_size, default=None,
                            help="tokens per KV page on every replica")
-    p_cluster.add_argument("--output-dir", default=None,
-                           help="also save the result as JSON + text under this directory")
-    p_cluster.set_defaults(func=_cmd_cluster_bench)
 
-    p_chaos = sub.add_parser(
-        "chaos-bench",
+    p_chaos = _bench_parser(
+        sub, "chaos-bench",
         help="fleet chaos benchmark (crash/slow/partition faults, retry-with-reroute, "
-             "recovery and zero-loss audits)")
-    p_chaos.add_argument("--fast", action="store_true",
-                         help="small zoo model, none+crash profiles, small fleets")
+             "recovery and zero-loss audits)",
+        fast_help="small zoo model, none+crash profiles, small fleets", bench=_chaos_bench)
     p_chaos.add_argument("--profiles", nargs="+", default=None, type=_parse_chaos_profile,
                          help="chaos profiles to sweep: none crash slow partition mixed")
     p_chaos.add_argument("--policies", nargs="+", default=None, type=_parse_policy,
                          help="routing policies to compare under identical faults")
-    p_chaos.add_argument("--replicas", nargs="+", default=None, type=_parse_replica_count,
+    p_chaos.add_argument("--replicas", nargs="+", default=None, type=replica_count,
                          help="fleet sizes to sweep, e.g. 2 4 8")
-    p_chaos.add_argument("--num-requests", type=int, default=None,
-                         help="length of the synthetic request trace")
-    p_chaos.add_argument("--max-retries", type=_parse_retries, default=2,
+    p_chaos.add_argument("--max-retries", type=_int_at_least(0, "max retries"), default=2,
                          help="reroute budget per crash-orphaned request "
                               "(0 = no-retry baseline, orphans are reported lost)")
     p_chaos.add_argument("--seed", type=int, default=0,
                          help="seed for the fault schedules (and routing RNG)")
-    p_chaos.add_argument("--output-dir", default=None,
-                         help="also save the result as JSON + text under this directory")
     p_chaos.add_argument("--trace-out", default=None,
                          help="also export a Chrome trace-event JSON of one crash run "
                               "(open in Perfetto, or summarise with 'repro obs-report')")
-    p_chaos.set_defaults(func=_cmd_chaos_bench)
 
     p_obs = sub.add_parser(
         "obs-report",
@@ -449,19 +395,16 @@ def build_parser() -> argparse.ArgumentParser:
                            help="bounded engine queue beyond which requests shed")
     p_gateway.add_argument("--timeout-s", type=float, default=None,
                            help="default per-request deadline in seconds")
-    p_gateway.add_argument("--kv-page-size", type=_parse_page_size, default=None,
+    p_gateway.add_argument("--kv-page-size", type=page_size, default=None,
                            help="tokens per KV page of the served engine")
     p_gateway.set_defaults(func=_cmd_gateway)
 
-    p_gwbench = sub.add_parser(
-        "gateway-bench",
-        help="open-loop HTTP saturation sweep (goodput knee, shed rate, cancel reclaim)")
-    p_gwbench.add_argument("--fast", action="store_true",
-                           help="small zoo model, short traces, four offered rates")
+    p_gwbench = _bench_parser(
+        sub, "gateway-bench",
+        help="open-loop HTTP saturation sweep (goodput knee, shed rate, cancel reclaim)",
+        fast_help="small zoo model, short traces, four offered rates", bench=_gateway_bench)
     p_gwbench.add_argument("--rates", nargs="+", type=float, default=None,
                            help="offered loads to sweep in requests per second")
-    p_gwbench.add_argument("--num-requests", type=int, default=None,
-                           help="requests replayed per offered rate")
     p_gwbench.add_argument("--shed-policy", type=_parse_shed_policy, default=None,
                            help="admission policy under overload")
     p_gwbench.add_argument("--cancel-every", type=int, default=None,
@@ -471,9 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="per-request deadline attached by the load generator")
     p_gwbench.add_argument("--max-queue-depth", type=int, default=None,
                            help="bounded engine queue beyond which requests shed")
-    p_gwbench.add_argument("--output-dir", default=None,
-                           help="also save the result as JSON + text under this directory")
-    p_gwbench.set_defaults(func=_cmd_gateway_bench)
     return parser
 
 

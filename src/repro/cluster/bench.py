@@ -40,8 +40,8 @@ from repro.serve.workload import (
 )
 
 __all__ = ["DEFAULT_POLICIES", "DEFAULT_REPLICA_COUNTS", "DEFAULT_KV_SPECS",
-           "WORKLOAD_KINDS", "cluster_model_name", "default_workload",
-           "default_replica", "saturating_arrival_rate", "derived_slo",
+           "WORKLOAD_KINDS", "default_workload", "default_replica",
+           "saturating_arrival_rate", "derived_slo", "fleet_trace",
            "cluster_bench", "run"]
 
 #: Routing policies compared by default (full mode sweeps the whole registry).
@@ -56,19 +56,6 @@ DEFAULT_KV_SPECS = (None, "int8")
 
 #: Trace shapes the benchmark can sweep under (see :mod:`repro.serve.workload`).
 WORKLOAD_KINDS = ("poisson", "shared_prefix")
-
-
-def cluster_model_name(fast: bool) -> str:
-    """The zoo checkpoint the fleet serves (shared with ``serve_bench``).
-
-    Single source of truth for :func:`run`, the ``repro cluster-bench`` CLI
-    and the pipeline dependency declaration
-    (``experiment_model_specs("cluster_bench")``); sharing the serve-bench
-    checkpoint means one ``zoo:<model>`` stage feeds both benchmarks.
-    """
-    from repro.serve.bench import serve_model_name
-
-    return serve_model_name(fast)
 
 
 def default_workload(fast: bool, kind: str = "poisson"):
@@ -156,6 +143,27 @@ def derived_slo(model_config, replica: ReplicaConfig, workload,
                      latency_s=slo_slack * time_per_token * mean_total)
 
 
+def fleet_trace(model, workload, replica: ReplicaConfig, utilization: float,
+                slo_slack: float, arrival_rate: float = None) -> tuple:
+    """What every fleet of a sweep shares: ``(baseline, workload, slo, requests)``.
+
+    ``baseline`` is ``replica`` with unquantised KV and weights.  The offered
+    load (``arrival_rate``, or :func:`saturating_arrival_rate` at
+    ``utilization``) and the SLOs (:func:`derived_slo` at ``slo_slack``) are
+    priced on it, so every KV format of a sweep faces the same load and the
+    same bar.  The returned ``workload`` (default :class:`WorkloadConfig`)
+    carries that arrival rate, and ``requests`` is its one generated trace.
+    """
+    workload = workload or WorkloadConfig()
+    baseline = dataclasses.replace(replica, kv_spec=None, weight_spec=None)
+    if arrival_rate is None:
+        arrival_rate = saturating_arrival_rate(model.config, baseline, workload,
+                                               utilization=utilization)
+    workload = dataclasses.replace(workload, arrival_rate=arrival_rate)
+    slo = derived_slo(model.config, baseline, workload, slo_slack=slo_slack)
+    return baseline, workload, slo, generate_trace(model.config.vocab_size, workload)
+
+
 #: Summary columns copied into each benchmark row, in display order.
 _ROW_METRICS = ("requests", "goodput_rps", "slo_attainment", "load_imbalance",
                 "prefix_hit_rate", "peak_pages_in_use",
@@ -177,15 +185,9 @@ def cluster_bench(model, policies=DEFAULT_POLICIES, replica_counts=DEFAULT_REPLI
     multi-turn); ``arrival_rate`` overrides the roofline-derived offered
     load (:func:`saturating_arrival_rate`) for ad-hoc traces.
     """
-    workload = workload or WorkloadConfig()
     template = replica or ReplicaConfig()
-    baseline = dataclasses.replace(template, kv_spec=None, weight_spec=None)
-    if arrival_rate is None:
-        arrival_rate = saturating_arrival_rate(model.config, baseline, workload,
-                                               utilization=utilization)
-    workload = dataclasses.replace(workload, arrival_rate=arrival_rate)
-    slo = derived_slo(model.config, baseline, workload, slo_slack=slo_slack)
-    requests = generate_trace(model.config.vocab_size, workload)
+    _, _, slo, requests = fleet_trace(model, workload, template, utilization, slo_slack,
+                                      arrival_rate)
     rows = []
     for kv_spec in kv_specs:
         for policy in policies:
@@ -220,31 +222,21 @@ def run(fast=None, policies=None, replica_counts=None, kv_specs=None,
     selects the trace shape (``shared_prefix`` makes the prefix-hit-rate
     column meaningful) and ``kv_page_size`` resizes the replicas' KV pages.
     """
-    from repro.experiments.common import is_fast_mode
-    from repro.llm.zoo import default_corpus, load_inference_model
+    from repro.experiments.common import load_serving_model, replace_given
 
-    fast_mode = is_fast_mode(fast)
-    model_name = cluster_model_name(fast_mode)
-    corpus = default_corpus(fast=fast)
-    model = load_inference_model(model_name, corpus=corpus)
+    fast_mode, model_name, _, model = load_serving_model(fast)
     if policies is None:
         policies = ("round_robin", "least_loaded") if fast_mode else DEFAULT_POLICIES
     if replica_counts is None:
         replica_counts = (1, 4) if fast_mode else DEFAULT_REPLICA_COUNTS
     if kv_specs is None:
         kv_specs = DEFAULT_KV_SPECS
-    overrides = {}
-    if num_requests is not None:
-        overrides["num_requests"] = num_requests
-    workload = dataclasses.replace(default_workload(fast_mode, workload_kind),
-                                   **overrides)
-    template = default_replica(fast_mode)
-    if kv_page_size is not None:
-        template = dataclasses.replace(template, kv_page_size=kv_page_size)
-    if arrival_rate is None:
-        arrival_rate = saturating_arrival_rate(
-            model.config, dataclasses.replace(template, kv_spec=None, weight_spec=None),
-            workload)
+    workload = replace_given(default_workload(fast_mode, workload_kind),
+                             num_requests=num_requests)
+    template = replace_given(default_replica(fast_mode), kv_page_size=kv_page_size)
+    # the offered load at cluster_bench's default utilization, kept for the metadata
+    arrival_rate = fleet_trace(model, workload, template, 3.0, 4.0,
+                               arrival_rate)[1].arrival_rate
     rows = cluster_bench(model, policies=tuple(policies),
                          replica_counts=tuple(replica_counts),
                          kv_specs=tuple(kv_specs), workload=workload,

@@ -27,19 +27,11 @@ from typing import Optional
 
 from repro.analysis.reporting import ExperimentResult
 from repro.cluster.autoscaler import AutoscalerConfig
-from repro.cluster.bench import (
-    _mean_tokens,
-    cluster_model_name,
-    default_replica,
-    default_workload,
-    derived_slo,
-    saturating_arrival_rate,
-)
+from repro.cluster.bench import _mean_tokens, default_replica, default_workload, fleet_trace
 from repro.cluster.chaos import FaultSchedule, get_profile, list_profiles
 from repro.cluster.replica import ReplicaConfig, decode_time_per_token
 from repro.cluster.simulation import ClusterConfig, ClusterSimulation
 from repro.obs import Observability
-from repro.serve.workload import WorkloadConfig, generate_trace
 
 __all__ = ["DEFAULT_PROFILES", "DEFAULT_POLICIES", "DEFAULT_REPLICA_COUNTS",
            "fault_horizon", "chaos_bench", "export_chaos_trace", "run"]
@@ -101,15 +93,9 @@ def chaos_bench(model, profiles=DEFAULT_PROFILES, policies=DEFAULT_POLICIES,
     ``"<profile>x<count>"`` (serialised form; what :func:`run` stores in the
     result metadata for replay).
     """
-    workload = workload or WorkloadConfig()
     template = replica or ReplicaConfig()
-    baseline = dataclasses.replace(template, kv_spec=None, weight_spec=None)
-    if arrival_rate is None:
-        arrival_rate = saturating_arrival_rate(model.config, baseline, workload,
-                                               utilization=utilization)
-    workload = dataclasses.replace(workload, arrival_rate=arrival_rate)
-    slo = derived_slo(model.config, baseline, workload, slo_slack=slo_slack)
-    requests = generate_trace(model.config.vocab_size, workload)
+    baseline, workload, slo, requests = fleet_trace(model, workload, template, utilization,
+                                                    slo_slack, arrival_rate)
     rows = []
     baselines = {}  # (policy, count) -> fault-free goodput
     for profile_name in profiles:
@@ -161,14 +147,9 @@ def export_chaos_trace(model, path=None, workload=None,
     is also written there (the ``repro chaos-bench --trace-out`` artifact,
     readable by ``repro obs-report``).
     """
-    workload = workload or WorkloadConfig()
     template = replica or ReplicaConfig()
-    baseline = dataclasses.replace(template, kv_spec=None, weight_spec=None)
-    arrival_rate = saturating_arrival_rate(model.config, baseline, workload,
-                                           utilization=utilization)
-    workload = dataclasses.replace(workload, arrival_rate=arrival_rate)
-    slo = derived_slo(model.config, baseline, workload, slo_slack=slo_slack)
-    requests = generate_trace(model.config.vocab_size, workload)
+    baseline, workload, slo, requests = fleet_trace(model, workload, template, utilization,
+                                                    slo_slack)
     horizon = fault_horizon(model.config, baseline, workload, num_replicas)
     schedule = FaultSchedule.generate(get_profile("crash"), num_replicas,
                                       horizon, seed=seed)
@@ -199,24 +180,17 @@ def run(fast=None, profiles=None, policies=None, replica_counts=None,
     sweep must end with ``requests_lost`` 0 and ``kv_leaked_pages`` 0 in
     every row — CI greps the saved JSON for exactly that.
     """
-    from repro.experiments.common import is_fast_mode
-    from repro.llm.zoo import default_corpus, load_inference_model
+    from repro.experiments.common import load_serving_model, replace_given
 
-    fast_mode = is_fast_mode(fast)
-    model_name = cluster_model_name(fast_mode)
-    corpus = default_corpus(fast=fast)
-    model = load_inference_model(model_name, corpus=corpus)
+    fast_mode, model_name, _, model = load_serving_model(fast)
     if profiles is None:
         profiles = ("none", "crash") if fast_mode else list_profiles()
     if policies is None:
         policies = ("least_loaded",) if fast_mode else DEFAULT_POLICIES
     if replica_counts is None:
         replica_counts = (2, 4) if fast_mode else DEFAULT_REPLICA_COUNTS
-    overrides = {}
-    if num_requests is not None:
-        overrides["num_requests"] = num_requests
-    workload = dataclasses.replace(default_workload(fast_mode, "poisson"),
-                                   **overrides)
+    workload = replace_given(default_workload(fast_mode, "poisson"),
+                             num_requests=num_requests)
     template = default_replica(fast_mode)
     schedules = {}
     rows = chaos_bench(model, profiles=tuple(profiles), policies=tuple(policies),

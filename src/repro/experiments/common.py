@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 from repro.llm.perplexity import EvalConfig
-from repro.llm.zoo import LLAMA_FAMILY, NONLINEAR_FAMILY, OPT_FAMILY
+from repro.llm.zoo import (LLAMA_FAMILY, NONLINEAR_FAMILY, OPT_FAMILY, default_corpus,
+                            load_inference_model)
 from repro.quant import parse_spec
 
 __all__ = [
     "is_fast_mode",
+    "serving_model_name",
+    "load_serving_model",
+    "replace_given",
     "eval_config",
     "table2_model_specs",
     "table4_model_specs",
@@ -53,6 +58,38 @@ def is_fast_mode(fast=None) -> bool:
     if fast is not None:
         return bool(fast)
     return os.environ.get("REPRO_FAST", "0") == "1"
+
+
+def serving_model_name(fast=None) -> str:
+    """The zoo checkpoint the serving benchmarks and ``repro gateway`` serve.
+
+    The one definition behind the ``serve_bench``, ``cluster_bench``,
+    ``chaos_bench`` and ``gateway_bench`` drivers, the ``repro gateway`` CLI
+    and the pipeline dependency declaration (:func:`experiment_model_specs`),
+    so one ``zoo:<model>`` stage feeds all of them.
+    """
+    return "Llama-1B" if is_fast_mode(fast) else "Llama-7B"
+
+
+def load_serving_model(fast=None) -> tuple:
+    """Resolve fast mode and load the serving checkpoint on its corpus.
+
+    Returns ``(fast_mode, model_name, corpus, model)``.
+    """
+    fast_mode = is_fast_mode(fast)
+    model_name = serving_model_name(fast_mode)
+    corpus = default_corpus(fast=fast_mode)
+    return fast_mode, model_name, corpus, load_inference_model(model_name, corpus=corpus)
+
+
+def replace_given(config, **overrides):
+    """``dataclasses.replace(config, ...)`` with only the overrides that are not ``None``.
+
+    A ``None`` keyword is a flag the caller left unset, so the default
+    config's value stands.
+    """
+    return dataclasses.replace(config, **{name: value for name, value in overrides.items()
+                                          if value is not None})
 
 
 def eval_config(fast=None) -> EvalConfig:
@@ -113,20 +150,6 @@ def experiment_model_specs(name, fast=None) -> tuple:
         return tuple(spec.paper_name for spec in format_ppl_model_specs(fast))
     if name == "ext_mixed_precision":
         return ("Llama-1B",)
-    if name == "serve_bench":
-        from repro.serve.bench import serve_model_name
-
-        return (serve_model_name(fast),)
-    if name == "cluster_bench":
-        from repro.cluster.bench import cluster_model_name
-
-        return (cluster_model_name(fast),)
-    if name == "chaos_bench":
-        from repro.cluster.bench import cluster_model_name
-
-        return (cluster_model_name(fast),)
-    if name == "gateway_bench":
-        from repro.gateway.bench import gateway_model_name
-
-        return (gateway_model_name(fast),)
+    if name in ("serve_bench", "cluster_bench", "chaos_bench", "gateway_bench"):
+        return (serving_model_name(fast),)
     return ()

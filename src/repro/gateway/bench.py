@@ -21,7 +21,6 @@ directly as ``repro gateway-bench``.
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 
 from repro.analysis.reporting import ExperimentResult
 from repro.gateway.driver import Gateway, GatewayConfig
@@ -32,17 +31,8 @@ from repro.serve.bench import default_engine_config
 from repro.serve.engine import ServeEngine, WallClock
 from repro.serve.workload import WorkloadConfig
 
-__all__ = ["gateway_model_name", "default_gateway_workload", "default_rates",
-           "default_gateway_config", "gateway_sweep", "run"]
-
-
-def gateway_model_name(fast: bool) -> str:
-    """The zoo checkpoint the gateway benchmark serves.
-
-    Shared by :func:`run`, the ``repro gateway-bench`` CLI and the pipeline
-    dependency declaration (``experiment_model_specs("gateway_bench")``).
-    """
-    return "Llama-1B" if fast else "Llama-7B"
+__all__ = ["default_gateway_workload", "default_rates", "default_gateway_config",
+           "gateway_sweep", "run"]
 
 
 def default_gateway_workload(fast: bool) -> WorkloadConfig:
@@ -70,8 +60,7 @@ def default_gateway_config(fast: bool, shed_policy: str = "reject") -> GatewayCo
 
 async def gateway_sweep(model, rates, workload: WorkloadConfig,
                         engine_config=None, gateway_config: GatewayConfig = None,
-                        cancel_every: int = 0, timeout_s: float = None,
-                        progress=None) -> list:
+                        cancel_every: int = 0, timeout_s: float = None) -> list:
     """One server per rate, one open-loop replay each; returns summary rows.
 
     Each row is the client-side :meth:`~repro.gateway.loadgen.LoadReport.summary`
@@ -89,8 +78,7 @@ async def gateway_sweep(model, rates, workload: WorkloadConfig,
         await server.start()
         return server
 
-    rows = await sweep_arrival_rates(make_server, model.config.vocab_size, base,
-                                     rates, progress=progress)
+    rows = await sweep_arrival_rates(make_server, model.config.vocab_size, base, rates)
     for row in rows:
         stats = row.pop("server")
         row["kv_leaked_pages"] = stats["kv_leaked_pages"]
@@ -117,21 +105,14 @@ def run(fast=None, rates=None, num_requests=None, shed_policy=None,
     structural claims — the knee exists, goodput holds past it, zero pages
     leak — are machine-independent and asserted.
     """
-    from repro.experiments.common import is_fast_mode
-    from repro.llm.zoo import default_corpus, load_inference_model
+    from repro.experiments.common import load_serving_model, replace_given
 
-    fast_mode = is_fast_mode(fast)
-    model_name = gateway_model_name(fast_mode)
-    model = load_inference_model(model_name, corpus=default_corpus(fast=fast))
-    workload = default_gateway_workload(fast_mode)
-    if num_requests is not None:
-        workload = dataclasses.replace(workload, num_requests=num_requests)
+    fast_mode, model_name, _, model = load_serving_model(fast)
+    workload = replace_given(default_gateway_workload(fast_mode), num_requests=num_requests)
     rates = tuple(float(r) for r in rates) if rates else default_rates(fast_mode)
     engine_config = default_engine_config(fast_mode)
-    gateway_config = default_gateway_config(fast_mode, shed_policy or "reject")
-    if max_queue_depth is not None:
-        gateway_config = dataclasses.replace(gateway_config,
-                                             max_queue_depth=max_queue_depth)
+    gateway_config = replace_given(default_gateway_config(fast_mode, shed_policy or "reject"),
+                                   max_queue_depth=max_queue_depth)
     if cancel_every is None:
         cancel_every = 4
     rows = asyncio.run(gateway_sweep(

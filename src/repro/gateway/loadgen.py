@@ -332,7 +332,7 @@ def find_saturation_knee(rates, goodputs, threshold: float = 0.05) -> int:
 
 
 async def sweep_arrival_rates(make_server, vocab_size, base_config: LoadGenConfig,
-                              rates, progress=None) -> list:
+                              rates) -> list:
     """Replay the same trace shape at each offered rate; returns summary rows.
 
     ``make_server`` is an async factory: awaited per rate, it must return a
@@ -354,8 +354,5 @@ async def sweep_arrival_rates(make_server, vocab_size, base_config: LoadGenConfi
             report = await loadgen(server.host, server.port, vocab_size, config)
         finally:
             stats = await server.shutdown()
-        row = {"arrival_rate": rate, **report.summary(), "server": stats}
-        rows.append(row)
-        if progress is not None:
-            progress(row)
+        rows.append({"arrival_rate": rate, **report.summary(), "server": stats})
     return rows

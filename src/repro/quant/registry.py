@@ -6,8 +6,8 @@ subclass and provides the three entry points every call site uses:
 
 ``parse_spec(text)``
     Spec string -> configuration dataclass.  This is the single parser behind
-    :func:`repro.cli.parse_format`, :meth:`QuantizationScheme.from_format`,
-    the mixed-precision search and the experiment drivers.
+    the CLI's format options, :meth:`QuantizationScheme.from_format`, the
+    mixed-precision search and the experiment drivers.
 
 ``get_quantizer(spec_or_config)``
     Spec string, configuration or quantizer -> memoized :class:`Quantizer`

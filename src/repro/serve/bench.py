@@ -24,8 +24,7 @@ from repro.serve.engine import EngineConfig, ServeEngine, VirtualClock, WallCloc
 from repro.serve.kv_cache import PagedKVCache
 from repro.serve.workload import WorkloadConfig, generate_trace
 
-__all__ = ["DEFAULT_KV_SPECS", "serve_model_name", "default_workload",
-           "default_engine_config", "clock_factory",
+__all__ = ["DEFAULT_KV_SPECS", "default_workload", "default_engine_config",
            "kv_cached_negative_log_likelihood",
            "kv_cached_perplexity", "serve_bench", "run"]
 
@@ -33,15 +32,11 @@ __all__ = ["DEFAULT_KV_SPECS", "serve_model_name", "default_workload",
 #: float and one integer spec (``None`` means unquantised storage).
 DEFAULT_KV_SPECS = (None, "bfp8@b32", "int8")
 
-
-def serve_model_name(fast: bool) -> str:
-    """The zoo checkpoint the serve benchmark runs against.
-
-    Single source of truth shared by :func:`run`, the ``repro serve-bench``
-    CLI and the pipeline dependency declaration
-    (``experiment_model_specs("serve_bench")``).
-    """
-    return "Llama-1B" if fast else "Llama-7B"
+#: The engine clocks :func:`serve_bench` runs on, by name: ``"wall"`` measures
+#: real compute time (machine-dependent rows), ``"virtual"`` advances
+#: deterministically with processed tokens (byte-identical rows across runs
+#: and machines).
+_CLOCKS = {"wall": WallClock, "virtual": VirtualClock}
 
 
 def default_workload(fast: bool) -> WorkloadConfig:
@@ -63,26 +58,6 @@ def default_engine_config(fast: bool) -> EngineConfig:
     if fast:
         return EngineConfig(max_batch_size=4, token_budget=96, kv_page_size=4)
     return EngineConfig(max_batch_size=8, token_budget=512)
-
-
-def clock_factory(clock):
-    """Resolve a clock option into a zero-argument clock constructor.
-
-    ``None`` / ``"wall"`` measure real compute time (:class:`WallClock`,
-    machine-dependent rows); ``"virtual"`` advances deterministically with
-    processed tokens (:class:`VirtualClock`, byte-identical rows across runs
-    and machines).  A callable is returned as-is, so callers can inject a
-    custom clock (e.g. a :class:`VirtualClock` with a roofline-derived token
-    rate).  One fresh clock is constructed per engine run, which is why this
-    resolves to a factory rather than an instance.
-    """
-    if clock is None or clock == "wall":
-        return WallClock
-    if clock == "virtual":
-        return VirtualClock
-    if callable(clock):
-        return clock
-    raise ValueError(f"unknown clock {clock!r}; expected 'wall', 'virtual' or a factory")
 
 
 # ----------------------------------------------------------- KV-quant quality
@@ -136,14 +111,16 @@ def serve_bench(model: InferenceModel, kv_specs=DEFAULT_KV_SPECS,
     so differences between rows isolate the KV format: storage density,
     throughput, and — when ``corpus`` is given — quantised-KV perplexity.
     ``workload`` may be any :mod:`repro.serve.workload` config (Poisson,
-    shared-prefix, multi-turn); ``clock`` selects the engine clock per
-    :func:`clock_factory`: ``"virtual"`` makes every latency/throughput
-    column deterministic.
+    shared-prefix, multi-turn); ``clock`` names the engine clock, ``"wall"``
+    (the default) or ``"virtual"``, which makes every latency/throughput
+    column deterministic.  Each spec's run gets a fresh clock.
     """
     import dataclasses
 
+    make_clock = _CLOCKS.get("wall" if clock is None else clock)
+    if make_clock is None:
+        raise ValueError(f"unknown clock {clock!r}; expected 'wall' or 'virtual'")
     workload = workload or WorkloadConfig()
-    make_clock = clock_factory(clock)
     requests = generate_trace(model.config.vocab_size, workload)
     rows = []
     for spec in kv_specs:
@@ -183,30 +160,18 @@ def run(fast=None, kv_specs=None, num_requests=None, arrival_rate=None,
     deterministic (machine-independent) under :class:`VirtualClock`, full
     runs keep measuring real compute time unless asked otherwise.
     """
-    import dataclasses
+    from repro.experiments.common import eval_config, load_serving_model, replace_given
 
-    from repro.experiments.common import eval_config, is_fast_mode
-    from repro.llm.zoo import default_corpus, load_inference_model
-
-    fast_mode = is_fast_mode(fast)
-    model_name = serve_model_name(fast_mode)
-    corpus = default_corpus(fast=fast)
-    model = load_inference_model(model_name, corpus=corpus)
-    overrides = {}
-    if num_requests is not None:
-        overrides["num_requests"] = num_requests
-    if arrival_rate is not None:
-        overrides["arrival_rate"] = arrival_rate
-    workload = dataclasses.replace(default_workload(fast_mode), **overrides)
-    engine = default_engine_config(fast_mode)
-    if kv_page_size is not None:
-        engine = dataclasses.replace(engine, kv_page_size=kv_page_size)
+    fast_mode, model_name, corpus, model = load_serving_model(fast)
+    workload = replace_given(default_workload(fast_mode), num_requests=num_requests,
+                             arrival_rate=arrival_rate)
+    engine = replace_given(default_engine_config(fast_mode), kv_page_size=kv_page_size)
     kv_specs = tuple(kv_specs) if kv_specs else DEFAULT_KV_SPECS
     if virtual_clock is None:
         virtual_clock = fast_mode
     clock = "virtual" if virtual_clock else "wall"
     rows = serve_bench(model, kv_specs=kv_specs, workload=workload,
-                       engine=engine, corpus=corpus, eval_config=eval_config(fast),
+                       engine=engine, corpus=corpus, eval_config=eval_config(fast_mode),
                        clock=clock)
     return ExperimentResult(
         experiment_id="Serve-Bench",

@@ -112,10 +112,18 @@ class Request:
     deadline: Optional[float] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "prompt_tokens",
-                           tuple(int(t) for t in np.asarray(self.prompt_tokens).ravel()))
-        if not self.prompt_tokens:
+        # an object array keeps each id's own type, which a plain np.asarray
+        # would unify ([True, 3] becomes an int array)
+        tokens = np.asarray(self.prompt_tokens, dtype=object).ravel()
+        if not tokens.size:
             raise ValueError("prompt_tokens must contain at least one token")
+        for token in tokens:
+            if not isinstance(token, (int, np.integer)) or isinstance(token, bool):
+                raise TypeError(f"prompt_tokens must hold integer ids, got {token!r}")
+        object.__setattr__(self, "prompt_tokens", tuple(map(int, tokens)))
+        if not math.isfinite(self.arrival_time):
+            raise ValueError(f"arrival_time must be a finite clock instant, "
+                             f"got {self.arrival_time!r}")
         for name, low in (("max_new_tokens", 1), ("top_k", 0), ("seed", 0)):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral):

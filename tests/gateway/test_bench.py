@@ -14,7 +14,6 @@ from repro.gateway.bench import (
     default_gateway_config,
     default_gateway_workload,
     default_rates,
-    gateway_model_name,
     gateway_sweep,
 )
 from repro.gateway.driver import GatewayConfig
@@ -31,8 +30,10 @@ ROW_KEYS = ("arrival_rate", "requests", "completed", "shed", "cancelled",
 
 class TestDefaults:
     def test_model_names_track_the_mode(self):
-        assert gateway_model_name(True) == "Llama-1B"
-        assert gateway_model_name(False) == "Llama-7B"
+        from repro.experiments.common import serving_model_name
+
+        assert serving_model_name(True) == "Llama-1B"
+        assert serving_model_name(False) == "Llama-7B"
 
     def test_rate_grids_are_sorted_for_knee_detection(self):
         for fast in (True, False):
@@ -68,19 +69,6 @@ class TestSweep:
             assert row["errors"] == 0
             assert row["kv_leaked_pages"] == 0
             assert np.isfinite(row["goodput_rps"])
-
-    def test_sweep_reports_progress_per_rate(self, tiny_inference_model):
-        seen = []
-        asyncio.run(gateway_sweep(
-            tiny_inference_model,
-            rates=(100.0,),
-            workload=WorkloadConfig(num_requests=3, arrival_rate=100.0,
-                                    prompt_tokens=(3, 6), new_tokens=(2, 4)),
-            engine_config=EngineConfig(max_batch_size=2, kv_page_size=4),
-            gateway_config=GatewayConfig(drain_timeout_s=5.0),
-            progress=seen.append,
-        ))
-        assert len(seen) == 1 and seen[0]["arrival_rate"] == 100.0
 
 
 class TestCatalogWiring:

@@ -134,6 +134,11 @@ class TestRoutes:
                                json.dumps({"prompt_tokens": [1], "wat": 1}).encode()),
                 await post_raw(host, port, "/v1/generate",
                                json.dumps({"prompt_tokens": [10**9]}).encode()),
+                # ids that used to be served as int(id): token 1 and token 5
+                await post_raw(host, port, "/v1/generate",
+                               json.dumps({"prompt_tokens": [1.9]}).encode()),
+                await post_raw(host, port, "/v1/generate",
+                               json.dumps({"prompt_tokens": ["5"]}).encode()),
                 # values that used to reach the engine and kill or wedge it
                 *[await asyncio.wait_for(post_raw(
                     host, port, "/v1/generate",

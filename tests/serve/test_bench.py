@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from repro.llm.perplexity import EvalConfig, evaluate_perplexity
-from repro.serve.bench import clock_factory, kv_cached_perplexity, serve_bench
-from repro.serve.engine import EngineConfig, VirtualClock, WallClock
+import repro.serve.bench
+from repro.serve.bench import kv_cached_perplexity, serve_bench
+from repro.serve.engine import EngineConfig, ServeEngine, VirtualClock, WallClock
 from repro.serve.workload import WorkloadConfig
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -81,14 +82,26 @@ class TestDeterministicClock:
                                prompt_tokens=(3, 8), new_tokens=(2, 5),
                                temperature=0.8, top_k=8, seed=2)
 
-    def test_clock_factory_resolves_names_and_callables(self):
-        assert clock_factory(None) is WallClock
-        assert clock_factory("wall") is WallClock
-        assert clock_factory("virtual") is VirtualClock
-        factory = clock_factory(lambda: VirtualClock(2e-3))
-        assert factory().time_per_token == 2e-3
+    def test_clock_names_resolve_and_unknown_names_raise(self, tiny_inference_model,
+                                                         monkeypatch):
+        clocks = []
+
+        class RecordingEngine(ServeEngine):
+            def __init__(self, *args, clock=None, **kwargs):
+                clocks.append(type(clock))
+                super().__init__(*args, clock=clock, **kwargs)
+
+        monkeypatch.setattr(repro.serve.bench, "ServeEngine", RecordingEngine)
+        for clock, expected in ((None, WallClock), ("wall", WallClock),
+                                ("virtual", VirtualClock)):
+            clocks.clear()
+            rows = serve_bench(tiny_inference_model, kv_specs=(None,),
+                               workload=self._WORKLOAD,
+                               engine=EngineConfig(max_batch_size=3), clock=clock)
+            assert clocks == [expected], clock
+            assert rows[0]["requests"] == self._WORKLOAD.num_requests
         with pytest.raises(ValueError, match="unknown clock"):
-            clock_factory("sundial")
+            serve_bench(tiny_inference_model, clock="sundial")
 
     def test_virtual_clock_rows_are_identical_across_runs(self, tiny_inference_model):
         """Same seed + trace => byte-identical summary rows, run to run."""

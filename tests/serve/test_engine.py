@@ -157,13 +157,20 @@ class TestValidation:
                              ("max_new_tokens", 2.5), ("temperature", -0.5),
                              ("temperature", nan), ("temperature", float("inf")),
                              ("top_k", -1), ("top_k", 2.5), ("seed", -1),
-                             ("seed", 1.5)):
+                             ("seed", 1.5), ("arrival_time", nan),
+                             ("arrival_time", float("inf"))):
             with pytest.raises((TypeError, ValueError), match=field):
                 Request(request_id=0, prompt_tokens=(1,), **{field: value})
-        numpy_ints = Request(request_id=0, prompt_tokens=(1,),
+        # ids used to be truncated or parsed by int(): [1.9] was served as token 1
+        for prompt in ([1.9, 2.7], ["5"], [True, 3], np.array([1.0, 2.0])):
+            with pytest.raises((TypeError, ValueError), match="prompt_tokens"):
+                Request(request_id=0, prompt_tokens=prompt)
+        numpy_ints = Request(request_id=0, prompt_tokens=np.array([1, 2], dtype=np.int32),
                              max_new_tokens=np.int64(2), top_k=np.int32(3),
                              seed=np.uint8(4))
-        assert numpy_ints.projected_tokens == 3
+        assert numpy_ints.prompt_tokens == (1, 2)
+        assert numpy_ints.projected_tokens == 4
+        assert Request(request_id=0, prompt_tokens=[np.int64(7), 8]).prompt_tokens == (7, 8)
 
     def test_per_tensor_kv_quantisation_is_isolated_per_request(self, tiny_inference_model):
         """A request's tokens must not depend on who shares its decode batch.

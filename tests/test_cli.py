@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.cli import main, parse_format
+from repro.cli import main
 from repro.core.bbfp import BBFPConfig
 from repro.core.bie import BiEConfig
 from repro.core.blockfp import BFPConfig
@@ -17,6 +17,8 @@ from repro.quant import UnknownFormatError, parse_spec
 
 
 class TestParseFormat:
+    """The spec parser behind ``--formats``, ``--format`` and ``--strategy``."""
+
     @pytest.mark.parametrize(
         "text, expected_type",
         [
@@ -30,24 +32,41 @@ class TestParseFormat:
         ],
     )
     def test_recognised_spellings(self, text, expected_type):
-        assert isinstance(parse_format(text), expected_type)
+        assert isinstance(parse_spec(text), expected_type)
 
     def test_bbfp_fields(self):
-        config = parse_format("BBFP(4,2)")
+        config = parse_spec("BBFP(4,2)")
         assert (config.mantissa_bits, config.overlap_bits) == (4, 2)
-
-    def test_is_a_shim_over_parse_spec(self):
-        assert parse_format("BBFP(4,2)") == parse_spec("BBFP(4,2)")
 
     def test_unknown_format_raises(self):
         # UnknownFormatError is a ValueError, so argparse type= callables turn
         # it into a clean usage error.
         with pytest.raises(UnknownFormatError, match="unknown format"):
-            parse_format("FANCY13")
+            parse_spec("FANCY13")
 
     def test_unknown_format_suggests_close_spec(self):
         with pytest.raises(UnknownFormatError, match="did you mean"):
-            parse_format("bffp(4,2)")
+            parse_spec("bffp(4,2)")
+
+
+class TestIntegerFlags:
+    @pytest.mark.parametrize("argv, message", [
+        (["serve-bench", "--kv-page-size", "0"],
+         "argument --kv-page-size: KV page size must be >= 1, got 0"),
+        (["cluster-bench", "--replicas", "0"],
+         "argument --replicas: fleet size must be >= 1, got 0"),
+        (["chaos-bench", "--max-retries", "-1"],
+         "argument --max-retries: max retries must be >= 0, got -1"),
+        (["serve-bench", "--kv-page-size", "abc"],
+         "argument --kv-page-size: invalid int value: 'abc'"),
+    ])
+    def test_out_of_range_or_non_integer_values_are_usage_errors(self, argv, message,
+                                                                 capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.rstrip().endswith(f"repro {argv[0]}: error: {message}")
 
 
 class TestListCommand:
