@@ -2,7 +2,7 @@
 
 The telemetry layer is only allowed on the hot path because it is cheap:
 metric handles are resolved once at engine construction, the phase profiler
-wraps seven engine and cache methods only when the bundle has a profiler
+wraps six engine and cache methods only when the bundle has a profiler
 (otherwise nothing is installed), spans are emitted once per request at
 terminal time from timestamps the engine already tracks, and a disabled
 registry is a null object whose ``inc``/``observe`` are empty methods.  This
@@ -137,15 +137,19 @@ def test_enabled_run_actually_observed(bench_model):
     assert snapshot["engine_decode_tokens_total"] == NUM_REQUESTS * (DECODE_TOKENS - 1)
     spans = [e for e in obs.tracer.events() if e.get("ph") == "X"]
     assert len(spans) == 3 * NUM_REQUESTS  # queued + prefill + decode per request
-    # one booking per call of each phase's method: 4-slot waves of prefill
-    # then DECODE_TOKENS - 1 batched decodes, each forward reading and
-    # appending every layer's K/V once
+    # one booking per call of each phase's method.  Under the default 64-token
+    # step budget the first four prompts prefill over steps 1-4 (48 + 16,
+    # 32 + 31, 17 + 45, 3 tokens beside the decode rows); from step 24 one
+    # request finishes per step and the next prompt runs whole beside three
+    # decode rows, so the last one is admitted at step 52 and decodes until
+    # step 75.  Each forward appends and reads every layer's K/V once per
+    # attention group (the decode rows, and each prefill chunk): beyond one
+    # group per forward, steps 1-4 carry 1, 2, 2 and 1 more and each of the
+    # eight later admissions one more, so there are 75 + 14 groups.
     calls = {row["phase"]: row["calls"] for row in obs.profiler.hotspots()}
-    forwards = calls["prefill_forward"] + calls["decode_forward"]
-    assert calls["admission"] == calls["prefill_forward"] == NUM_REQUESTS
-    assert calls["release"] == NUM_REQUESTS
-    assert calls["decode_forward"] == NUM_REQUESTS // 4 * (DECODE_TOKENS - 1)
-    assert calls["page_gather"] == bench_model.config.n_layers * forwards
+    assert calls["forward"] == snapshot["engine_steps_total"] == 75
+    assert calls["admission"] == calls["release"] == NUM_REQUESTS
+    assert calls["page_gather"] == bench_model.config.n_layers * (75 + 14)
     assert calls["quantize_append"] == calls["page_gather"]
     assert calls["sampling"] == snapshot["engine_decode_tokens_total"] + NUM_REQUESTS
 

@@ -109,8 +109,7 @@ def _cmd_simulate(args) -> int:
     from repro.accelerator.workloads import decoder_workload
     from repro.experiments.fig1_runtime import LLAMA_7B_DIMENSIONS
 
-    strategy = args.strategy if args.strategy in ("Oltron", "Olive") else parse_spec(args.strategy)
-    config = AcceleratorConfig(strategy=strategy, pe_rows=args.pe_rows, pe_cols=args.pe_cols)
+    config = AcceleratorConfig(strategy=args.strategy, pe_rows=args.pe_rows, pe_cols=args.pe_cols)
     simulator = AcceleratorSimulator(config, nonlinear_style=args.nonlinear)
     workload = decoder_workload(LLAMA_7B_DIMENSIONS, args.seq_len, phase=args.phase)
     report = simulator.run(workload)
@@ -126,6 +125,14 @@ def _cmd_simulate(args) -> int:
     }]
     print(format_table(rows))
     return 0
+
+
+def _parse_strategy(name: str):
+    """CLI type for ``--strategy``: a named baseline (``Oltron``, ``Olive``) or any spec.
+
+    An unknown spec becomes a clean argparse usage error, as for ``--format``.
+    """
+    return name if name in ("Oltron", "Olive") else parse_spec(name)
 
 
 def _parse_kv_spec(name: str):
@@ -308,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_quant.set_defaults(func=_cmd_quantize)
 
     p_sim = sub.add_parser("simulate", help="simulate one Llama-7B decoder layer stack")
-    p_sim.add_argument("--strategy", default="BBFP(4,2)",
+    p_sim.add_argument("--strategy", default="BBFP(4,2)", type=_parse_strategy,
                        help='number format or named baseline ("Oltron", "Olive")')
     p_sim.add_argument("--seq-len", type=int, default=1024)
     p_sim.add_argument("--phase", choices=("prefill", "decode"), default="prefill")

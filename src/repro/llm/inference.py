@@ -249,13 +249,12 @@ class InferenceModel:
                 split(self._linear(f"{prefix}.k_proj", x)),
                 split(self._linear(f"{prefix}.v_proj", x)))
 
-    def _attend(self, prefix: str, scores: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Masked scores -> softmax -> context -> merged heads -> out_proj."""
+    def _attend(self, scores: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Masked scores -> softmax -> context, heads merged: ``(batch, seq, d_model)``."""
         attn = self.scheme.softmax_fn(scores, axis=-1)
         context = attn @ v
         batch, _, seq_len, _ = context.shape
-        context = context.transpose(0, 2, 1, 3).reshape(batch, seq_len, self.config.d_model)
-        return self._linear(f"{prefix}.out_proj", context)
+        return context.transpose(0, 2, 1, 3).reshape(batch, seq_len, self.config.d_model)
 
     def _attention(self, index: int, x: np.ndarray) -> np.ndarray:
         cfg = self.config
@@ -264,22 +263,35 @@ class InferenceModel:
         q, k, v = self._qkv_heads(prefix, x)
         scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(cfg.head_dim)
         scores = scores + causal_mask(seq_len)
-        return self._attend(prefix, scores, v)
+        return self._linear(f"{prefix}.out_proj", self._attend(scores, v))
 
-    def _attention_step(self, index: int, x: np.ndarray, cache, rows: np.ndarray,
-                        context_len: int, mask: np.ndarray) -> np.ndarray:
-        """Append the new positions' K/V to ``cache``, then attend over its context.
+    def _attention_step(self, index: int, x: np.ndarray, cache, groups: list) -> np.ndarray:
+        """Append the step's K/V to ``cache``, then attend each group over its context.
 
-        Queries see each row's first ``context_len`` positions under ``mask``; on a
-        fresh, unquantised cache this computes exactly :meth:`_attention`.
+        ``x`` is ``(tokens, d_model)``, every row's new positions packed in row
+        order.  Every group appends before any group reads, so each query sees
+        the quantised K/V of its own chunk, as a whole prefill's queries do.
         """
+        cfg = self.config
         prefix = f"blocks.{index}.attention"
-        q, k, v = self._qkv_heads(prefix, x)
-        cache.append(index, rows, k, v)
-        k_ctx, v_ctx = cache.context(index, rows, context_len)
-        scores = q @ k_ctx.transpose(0, 1, 3, 2) / np.sqrt(self.config.head_dim)
-        scores += mask  # in place: a second scores array would raise the heap's peak
-        return self._attend(prefix, scores, v_ctx)
+        q = self._linear(f"{prefix}.q_proj", x)
+        k = self._linear(f"{prefix}.k_proj", x)
+        v = self._linear(f"{prefix}.v_proj", x)
+        for group in groups:
+            cache.append(index, group.rows, group.heads(k), group.heads(v))
+        merged = np.empty_like(x) if len(groups) > 1 else None
+        for group in groups:
+            k_ctx, v_ctx = cache.context(index, group.read, group.context_len)
+            scores = group.queries(q) @ k_ctx.transpose(0, 1, 3, 2) / np.sqrt(cfg.head_dim)
+            scores += group.mask  # in place: a second scores array would raise the heap's peak
+            context = self._attend(scores, v_ctx)
+            if group.members is not None:
+                context = context[group.members]
+            if merged is None:
+                merged = context.reshape(x.shape)
+            else:
+                merged[group.take] = context.reshape(-1, cfg.d_model)
+        return self._linear(f"{prefix}.out_proj", merged)
 
     def _mlp(self, index: int, x: np.ndarray) -> np.ndarray:
         prefix = f"blocks.{index}.mlp"
@@ -317,27 +329,37 @@ class InferenceModel:
         x = self._norm("final_norm", x)
         return self._linear("lm_head", x)
 
-    def forward_step(self, tokens: np.ndarray, cache, rows=None) -> np.ndarray:
+    def forward_step(self, tokens, cache, rows=None):
         """Incremental forward: embed only the new ``tokens``, attend over ``cache``.
 
         ``tokens`` is ``(batch, n_new)`` (or 1-D for a single sequence) of new
-        token ids; ``cache`` is a :class:`repro.serve.PagedKVCache` holding the
+        token ids, or *ragged*: a list with one 1-D id array per row, of unequal
+        lengths.  ``cache`` is a :class:`repro.serve.PagedKVCache` holding the
         already-processed context of each sequence.  ``rows`` selects which
         cache slots the batch rows correspond to (all slots by default), so a
-        continuous-batching engine can prefill one request and batch-decode
-        another set in interleaved calls; rows must be distinct slots.  Keys/values
+        continuous-batching engine can run decode rows and prefill chunks of
+        different slots in one call; rows must be distinct slots.  Keys/values
         of the new positions are appended to the cache — through the cache's
-        quantiser when one is configured — and the cache lengths advance by ``n_new``.
+        quantiser when one is configured — and each row's cache length
+        advances by its number of new tokens.
 
-        Returns logits ``(batch, n_new, vocab)`` for the new positions only.
-        A fresh cache plus one call over a whole prompt computes exactly
+        Embeddings, norms and linears run once over all of the step's tokens.
+        Attention runs per group: rows of one new token (decode rows) attend
+        together over the consecutive slot range they span, which the cache
+        serves as one view of its page pool; a slot in that range that is not
+        among them gets a zero query and its output is dropped.  A ragged
+        row of several tokens (a prefill chunk) attends over its own slot
+        under a causal mask; a rectangular batch of several tokens per row
+        attends as one batch, as a multi-row prefill always has.
+
+        Returns logits ``(batch, n_new, vocab)`` for the new positions of a
+        rectangular batch, and a list of ``(n_i, vocab)`` arrays for ragged
+        rows.  A fresh cache plus one call over a whole prompt computes exactly
         :meth:`forward`; subsequent single-token calls continue it in O(1)
         forward cost per token instead of re-running the full prefix.
         """
-        tokens = self._token_batch(tokens)
-        batch, n_new = tokens.shape
-        if n_new == 0:
-            raise ValueError("forward_step needs at least one new token")
+        ids, counts = self._step_tokens(tokens)
+        batch = len(counts)
         if rows is None:
             if batch != cache.batch_size:
                 raise ValueError(
@@ -345,6 +367,7 @@ class InferenceModel:
                     f"({cache.batch_size}); pass rows= to address a subset of slots"
                 )
             rows = np.arange(cache.batch_size)
+            slots = list(range(batch))
         else:
             rows = np.asarray(rows, dtype=np.int64)
             if rows.size != batch:
@@ -353,25 +376,50 @@ class InferenceModel:
             if len(set(slots)) < batch or not all(0 <= r < cache.batch_size for r in slots):
                 raise ValueError(f"rows {slots} must be distinct slots in [0, {cache.batch_size})")
         start = cache.lengths[rows]
-        context_len = int(start.max()) + n_new
+        heads = (self.config.n_heads, self.config.head_dim)
+        if ids.ndim == 2:
+            positions = start[:, None] + np.arange(ids.shape[1])
+            groups = [_StepGroup(rows, slots, None, positions, cache.lengths, heads)]
+        else:
+            offsets = np.cumsum(counts) - counts
+            positions = np.arange(ids.size) - np.repeat(offsets - start, counts)
+            groups = _ragged_groups(rows, slots, counts, offsets, positions, cache.lengths,
+                                    heads)
+        context_len = max(group.context_len for group in groups)
         limit = min(cache.max_seq_len, self.config.max_seq_len)
         if context_len > limit:
             raise ValueError(f"context of {context_len} positions exceeds max_seq_len {limit}")
-        positions = start[:, None] + np.arange(n_new)[None, :]
-        # Causal mask over a cached context: key j is visible to the query at
-        # absolute position p iff j <= p.  causal_mask's 0 / -1e9 values, so a
-        # prefill on a fresh cache reproduces the forward() numerics.
-        mask = (np.arange(context_len) > positions[:, None, :, None]) * -1e9
-        x = self.state["token_embedding.weight"][tokens] + \
-            self.state["position_embedding.weight"][positions]
+        x = self.state["token_embedding.weight"][ids.ravel()] + \
+            self.state["position_embedding.weight"][positions.ravel()]
         for i in range(self.config.n_layers):
             x = x + self._attention_step(i, self._norm(f"blocks.{i}.attn_norm", x),
-                                         cache, rows, context_len, mask)
+                                         cache, groups)
             x = x + self._mlp(i, self._norm(f"blocks.{i}.mlp_norm", x))
         x = self._norm("final_norm", x)
         logits = self._linear("lm_head", x)
-        cache.advance(rows, n_new)
-        return logits
+        for group in groups:
+            cache.advance(group.rows, group.n_new)
+        if ids.ndim == 2:
+            return logits.reshape(ids.shape + logits.shape[-1:])
+        return np.split(logits, offsets[1:])
+
+    def _step_tokens(self, tokens) -> tuple:
+        """``(ids, counts)``: the ``(batch, n_new)`` ids, or ragged rows' ids packed 1-D.
+
+        Ragged rows are a list of 1-D id arrays of unequal lengths; ``counts``
+        holds every row's number of new tokens.
+        """
+        if (isinstance(tokens, (list, tuple)) and len(tokens) > 1
+                and np.ndim(tokens[0]) == 1 and len({len(row) for row in tokens}) > 1):
+            rows = [np.asarray(row, dtype=np.int64) for row in tokens]
+            if any(row.ndim != 1 or not row.size for row in rows):
+                raise ValueError("ragged rows must each be a non-empty 1-D id array")
+            return self._token_batch(np.concatenate(rows))[0], np.array([row.size for row in rows])
+        tokens = self._token_batch(tokens)
+        batch, n_new = tokens.shape
+        if n_new == 0:
+            raise ValueError("forward_step needs at least one new token")
+        return tokens, [n_new] * batch
 
     def negative_log_likelihood(self, tokens: np.ndarray) -> float:
         """Mean next-token NLL (nats) of a batch of ``(batch, seq+1)`` token windows."""
@@ -381,3 +429,66 @@ class InferenceModel:
         log_probs = log_softmax(logits, axis=-1)
         picked = np.take_along_axis(log_probs, targets[..., None], axis=-1)[..., 0]
         return float(-picked.mean())
+
+
+class _StepGroup:
+    """Rows of one ``forward_step`` that attend together, ``n_new`` tokens each.
+
+    ``take`` selects the group's tokens in the step's packed token axis
+    (``None``: all of them, in order).
+    ``read`` holds the slots whose context the group reads: its own rows, or
+    for one-token rows the consecutive range ``[lo, hi)`` they span (one view
+    of the page pool instead of a gather of every page); ``members`` then
+    picks the group's rows out of that range, and every other slot in it
+    gets a zero query.  ``mask`` is the causal mask over ``context_len``
+    positions of every read slot.
+    """
+
+    __slots__ = ("rows", "n_new", "take", "shape", "read", "members", "context_len", "mask")
+
+    def __init__(self, rows, slots, take, positions, lengths, heads):
+        """``positions``: ``(rows, n_new)`` absolute positions of the group's new tokens."""
+        self.rows, self.take = rows, take
+        self.n_new = positions.shape[1]
+        self.shape = positions.shape + heads
+        self.context_len = int(positions[:, -1].max()) + 1
+        self.read, self.members = rows, None
+        lo = min(slots)
+        if self.n_new == 1 and slots != list(range(lo, lo + len(slots))):
+            self.read, self.members = np.arange(lo, max(slots) + 1), rows - lo
+            positions = lengths[self.read][:, None]
+        # Causal mask over a cached context: key j is visible to the query at
+        # absolute position p iff j <= p.  causal_mask's 0 / -1e9 values, so a
+        # prefill on a fresh cache reproduces the forward() numerics.
+        self.mask = (np.arange(self.context_len) > positions[:, None, :, None]) * -1e9
+
+    def heads(self, t: np.ndarray) -> np.ndarray:
+        """The group's rows of packed ``(tokens, d_model)`` as ``(rows, heads, n_new, head_dim)``."""
+        t = t if self.take is None else t[self.take]
+        return t.reshape(self.shape).transpose(0, 2, 1, 3)
+
+    def queries(self, q: np.ndarray) -> np.ndarray:
+        """Queries for every read slot: the group's own, zero for the others."""
+        own = self.heads(q)
+        if self.members is None:
+            return own
+        queries = np.zeros((self.read.size,) + own.shape[1:])
+        queries[self.members] = own
+        return queries
+
+
+def _ragged_groups(rows, slots, counts, offsets, positions, lengths, heads) -> list:
+    """Decode rows (one token each) as one group, then each chunk as its own."""
+    groups = []
+    single = np.flatnonzero(counts == 1)
+    if single.size:
+        take = offsets[single]
+        if take[-1] - take[0] == take.size - 1:
+            take = slice(int(take[0]), int(take[-1]) + 1)
+        groups.append(_StepGroup(rows[single], [slots[i] for i in single.tolist()], take,
+                                 positions[take][:, None], lengths, heads))
+    for index in np.flatnonzero(counts > 1).tolist():
+        take = slice(int(offsets[index]), int(offsets[index] + counts[index]))
+        groups.append(_StepGroup(rows[index:index + 1], slots[index:index + 1], take,
+                                 positions[take][None, :], lengths, heads))
+    return groups

@@ -10,7 +10,7 @@ The engine attaches its bundle's profiler, if it has one, at construction,
 so with telemetry off no timing code runs at all.
 
 ``page_gather`` and ``quantize_append`` are *nested* inside the forward
-phases (the cache is called per layer from within ``forward_step``), so the
+phase (the cache is called per layer from within ``forward_step``), so the
 ranked table reports them with ``within="forward"`` and computes ``share``
 over the top-level phases only — the shares of top-level phases sum to 1.
 ``quantize_append`` is booked for unquantised caches too, where
@@ -25,16 +25,14 @@ from __future__ import annotations
 
 from time import perf_counter
 
-__all__ = ["PhaseProfiler", "PHASES", "ADMISSION", "PREFILL_FORWARD",
-           "DECODE_FORWARD", "PAGE_GATHER", "QUANT_APPEND", "SAMPLING",
-           "RELEASE"]
+__all__ = ["PhaseProfiler", "PHASES", "ADMISSION", "FORWARD", "PAGE_GATHER",
+           "QUANT_APPEND", "SAMPLING", "RELEASE"]
 
 #: ``(phase, owner, method)`` in phase-id order: the one method whose calls
 #: each phase times, on the engine or on its cache.
 _SITES = (
     ("admission", "engine", "_admit"),          # queue pops, budget/page checks, prefix adoption
-    ("prefill_forward", "engine", "_prefill"),  # the prompt-suffix forward
-    ("decode_forward", "engine", "_decode"),    # the batched one-token forward
+    ("forward", "engine", "_forward"),          # the step's one forward: decode rows + prefill chunks
     ("page_gather", "cache", "context"),        # the KV context read: pool view or gather
     ("quantize_append", "cache", "_quantize_rows"),  # quantise-on-append of new K/V
     ("sampling", "engine", "_sample"),          # logits -> token, stop checks, on_token
@@ -42,8 +40,7 @@ _SITES = (
 )
 
 #: Integer phase ids — list indices into the profiler's preallocated slots.
-(ADMISSION, PREFILL_FORWARD, DECODE_FORWARD, PAGE_GATHER, QUANT_APPEND,
- SAMPLING, RELEASE) = range(len(_SITES))
+(ADMISSION, FORWARD, PAGE_GATHER, QUANT_APPEND, SAMPLING, RELEASE) = range(len(_SITES))
 
 #: Display names, indexed by phase id.
 PHASES = tuple(phase for phase, _owner, _method in _SITES)

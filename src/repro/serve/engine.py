@@ -2,23 +2,30 @@
 
 One :class:`ServeEngine` owns an :class:`~repro.llm.inference.InferenceModel`,
 a :class:`~repro.serve.kv_cache.PagedKVCache` with one slot per concurrent
-request, and a FIFO arrival queue.  Every :meth:`~ServeEngine.step`:
+request, and a FIFO arrival queue.  Every :meth:`~ServeEngine.step` builds one
+*plan* and runs it as a single ``forward_step``:
 
-1. **admits** queued requests whose arrival time has passed, in strict
-   arrival order (head-of-line blocking — a large request cannot be starved
-   by smaller ones overtaking it), while a free slot exists, the projected
-   KV footprint stays within the token budget, and the request's worst-case
-   page need plus what the already-active requests may still allocate fits
-   the reclaimable page supply (free pages plus LRU-evictable cached prefix
-   chains), so decode can never run the pool dry mid-request;
-2. **prefills** each admitted request (one ``forward_step`` over the part of
-   its prompt not already covered by a cached prefix — a radix-index hit
-   skips straight past every shared full page) and samples its first token —
-   the time-to-first-token moment;
-3. **decodes** every active request in a single batched ``forward_step`` of
-   one token per request, samples the next tokens, and
-4. **retires** finished requests (length limit or stop token), freeing their
-   slot and cache rows for the next admission.
+1. **decode rows**: every request past its prompt contributes its last
+   sampled token;
+2. **prefill chunks** fill what is left of the per-step token budget
+   (``EngineConfig.max_step_tokens``, which counts decode rows and chunk
+   tokens alike): first requests already part-way through their prompt, then
+   newly **admitted** ones.  Admission takes queued requests whose arrival
+   time has passed, in strict arrival order (head-of-line blocking — a large
+   request cannot be starved by smaller ones overtaking it), while a free
+   slot exists, the projected KV footprint stays within the token budget,
+   and the request's worst-case page need plus what the already-active
+   requests may still allocate fits the reclaimable page supply (free pages
+   plus LRU-evictable cached prefix chains), so decode can never run the
+   pool dry mid-request.  A newcomer adopts the longest cached prefix of its
+   prompt (a radix-index hit skips straight past every shared full page) and
+   prefills the rest in chunks; a prompt longer than what a step has left
+   spans several steps;
+3. **samples** the next token of every decode row and the first token of
+   every prompt whose last chunk ran — the time-to-first-token moment; that
+   request decodes from the next step on;
+4. **retires** finished requests (length limit, stop token or deadline),
+   freeing their slot and cache rows for the next admission.
 
 Time comes from a pluggable clock: :class:`WallClock` measures real compute
 time (and fast-forwards over idle gaps instead of sleeping, so light traffic
@@ -187,12 +194,13 @@ class CompletedRequest:
 
 
 class _ActiveRequest:
-    """Mutable per-slot decoding state."""
+    """Mutable per-slot state: prompt tokens still to prefill, then decoding."""
 
     def __init__(self, request: Request, slot: int, admitted_time: float):
         self.request = request
         self.slot = slot
         self.admitted_time = admitted_time
+        self.pending = None  # prompt ids not yet in the cache; None once decoding
         self.generated = []
         self.rng = (np.random.default_rng(request.seed)
                     if request.temperature > 0 else None)
@@ -216,6 +224,17 @@ class EngineConfig:
     selects the KV-cache quantiser; ``max_seq_len`` shrinks the per-slot
     capacity below the model's limit.
 
+    ``max_step_tokens`` bounds the tokens one step's forward processes:
+    every decode row counts one, every prefill chunk its length.  Decode rows
+    always run; prefill chunks take what is left, so a newcomer's prompt
+    never stalls the decoding requests for more than that many tokens, and
+    an idle engine does not prefill its whole queue in one forward.  The
+    default, 64, won a sweep of 32/48/64/96/128 on the serving benchmarks
+    (``docs/serving.md``).  With a KV quantiser whose scale spans a row's
+    appended chunk (per-tensor or per-channel INT), splitting a prompt would
+    change its stored K/V, so such a prompt runs whole: alone in the step's
+    prefill share if it does not fit what is left.
+
     K/V lives in ``kv_page_size``-token pages with radix-tree prefix sharing
     and free-block admission accounting.  ``num_kv_blocks`` sizes the page
     pool (default ``max_batch_size * ceil(max_seq_len / kv_page_size)`` — the
@@ -232,8 +251,14 @@ class EngineConfig:
     max_seq_len: Optional[int] = None
     kv_page_size: int = 16
     num_kv_blocks: Optional[int] = None
+    max_step_tokens: int = 64
 
     def __post_init__(self):
+        for name in ("max_batch_size", "token_budget", "max_seq_len", "kv_page_size",
+                     "num_kv_blocks", "max_step_tokens"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
         if self.token_budget is not None and self.token_budget < 1:
@@ -242,6 +267,8 @@ class EngineConfig:
             raise ValueError("kv_page_size must be >= 1")
         if self.num_kv_blocks is not None and self.num_kv_blocks < 1:
             raise ValueError("num_kv_blocks must be >= 1")
+        if self.max_step_tokens < 1:
+            raise ValueError("max_step_tokens must be >= 1")
 
 
 @dataclass
@@ -605,28 +632,23 @@ class ServeEngine:
 
     # -------------------------------------------------------------- stepping
     def step(self) -> list:
-        """One scheduling iteration; returns the requests it terminated."""
+        """One scheduling iteration, one forward; returns the requests it terminated."""
         if not self._active and self._queue:
             # idle engine: fast-forward to the next arrival instead of spinning
             self.clock.wait_until(self._queue[0][0])
         completed_now = self._expire_queued(self.clock.now())
-        while self._queue and self._free_slots:
-            admitted = self._admit(completed_now)
-            if admitted is None:
-                break
-            state, suffix = admitted
-            self._sample(state, self._prefill(state, suffix)[0, -1])
-            if state.finish_reason is not None:
-                completed_now.append(self._release(state))
+        plan = self._plan(completed_now)
         self._peak_active = max(self._peak_active, len(self._active))
-
-        if self._active:
-            slots = sorted(self._active)
-            logits = self._decode(slots)
+        if plan:
+            logits = self._forward(plan)
             finish_time = self.clock.now()
-            for index, slot in enumerate(slots):
-                state = self._active[slot]
-                self._sample(state, logits[index, -1])
+            for (state, chunk), row_logits in zip(plan, logits):
+                if state.pending is not None:
+                    # a prompt's first token comes from its last chunk
+                    state.pending = (state.pending[len(chunk):]
+                                     if len(chunk) < state.pending.size else None)
+                if state.pending is None:
+                    self._sample(state, row_logits[-1])
                 deadline = state.request.deadline
                 if (state.finish_reason is None and deadline is not None
                         and deadline < finish_time):
@@ -641,12 +663,41 @@ class ServeEngine:
         self._m_kv_pages.set(self.cache.pages_in_use)
         return completed_now
 
-    def _admit(self, completed_now: list) -> Optional[tuple]:
-        """Admit the head of the line: ``(state, uncached prompt suffix)`` or ``None``.
+    def _plan(self, completed_now: list) -> list:
+        """This step's ``(state, new token ids)`` rows, within ``max_step_tokens``.
 
-        Expired heads are timed out onto ``completed_now`` first.  The clock
-        is re-read per head, so a request that arrived during an earlier
-        prefill is admitted this step, stamped with its real admission time.
+        Decode rows first, in slot order (their one token each always runs),
+        then prefill chunks: requests part-way through their prompt, in
+        admission order, then newly admitted ones, until the budget is spent.
+        """
+        plan = [(state, (state.last_token,)) for _slot, state in sorted(self._active.items())
+                if state.pending is None]
+        decode_rows = len(plan)
+        left = self.config.max_step_tokens - decode_rows
+        for state in self._active.values():  # insertion order: admission order
+            if state.pending is not None and left > 0:
+                plan.append((state, state.pending[:left]))
+                left -= len(plan[-1][1])
+        while left > 0 and self._queue and self._free_slots:
+            state = self._admit(completed_now, left, whole_ok=len(plan) == decode_rows)
+            if state is None:
+                break
+            # a prompt is split only if its chunks store the K/V a whole one does
+            chunk = state.pending[:left] if self.cache.split_invariant else state.pending
+            plan.append((state, chunk))
+            left -= len(chunk)
+        return plan
+
+    def _admit(self, completed_now: list, left: int, whole_ok: bool) -> Optional[_ActiveRequest]:
+        """Admit the head of the line, or return ``None`` if it must wait.
+
+        Expired heads are timed out onto ``completed_now`` first.  ``left`` is
+        what the step's token budget still holds; a prompt that may not be
+        split (see :class:`EngineConfig`) waits unless it fits or
+        ``whole_ok`` (no other prompt in this step) lets it run whole.  A head
+        that shares its next uncached page with a prompt still being
+        prefilled waits too: that page is in the index once the other
+        request's chunk completes it, so it is computed once.
         """
         while self._queue:
             now = self.clock.now()
@@ -661,6 +712,12 @@ class ServeEngine:
             if (self.active_projected_tokens + request.projected_tokens > self.token_budget
                     or not self._kv_capacity_ok(request)):
                 return None  # head-of-line blocks until budget/pages free up: no starvation
+            prompt = request.prompt_tokens
+            reusable = self.cache.match_prefix(prompt)
+            if not self.cache.split_invariant and len(prompt) - reusable > left and not whole_ok:
+                return None
+            if self._in_flight_prefix(prompt, reusable + self.cache.page_size):
+                return None
             heapq.heappop(self._queue)
             slot = self._free_slots.pop()
             state = _ActiveRequest(request, slot, admitted_time=now)
@@ -668,32 +725,50 @@ class ServeEngine:
             if self.on_admit is not None:
                 self.on_admit(request.request_id, now)
             # adopt the longest cached prefix; prefill computes the rest
-            reused = self.cache.begin_request(slot, request.prompt_tokens)
-            return state, np.array(request.prompt_tokens[reused:], dtype=np.int64)
+            reused = self.cache.begin_request(slot, prompt)
+            state.pending = np.array(prompt[reused:], dtype=np.int64)
+            self._reused_tokens += reused
+            self._m_reused.inc(reused)
+            return state
         return None
 
-    def _prefill(self, state: _ActiveRequest, suffix: np.ndarray) -> np.ndarray:
-        """Run the prompt suffix through the model; returns its logits."""
-        logits = self.model.forward_step(suffix[None, :], self.cache, rows=[state.slot])
-        # the prompt's K/V is complete: index its full pages now so
-        # same-prefix requests admitted this very step already hit
-        self.cache.commit_prefix(state.slot, state.request.prompt_tokens)
-        reused = len(state.request.prompt_tokens) - suffix.size
-        self._prefill_tokens += suffix.size
-        self._reused_tokens += reused
-        self._m_prefill.inc(suffix.size)
-        self._m_reused.inc(reused)
-        self.clock.on_tokens(suffix.size)
-        return logits
+    def _in_flight_prefix(self, prompt: tuple, upto: int) -> bool:
+        """Whether a request still prefilling shares ``prompt``'s first ``upto`` tokens.
 
-    def _decode(self, slots: list) -> np.ndarray:
-        """One batched forward of each active request's last token; returns its logits."""
-        last_tokens = np.array([[self._active[s].last_token] for s in slots],
-                               dtype=np.int64)
-        logits = self.model.forward_step(last_tokens, self.cache, rows=slots)
-        self._decode_tokens += len(slots)
-        self._m_decode.inc(len(slots))
-        self.clock.on_tokens(len(slots))
+        ``upto`` ends the page after the prompt's cached prefix; only a page
+        the radix index could later serve (the prompt's last token is always
+        prefilled) counts.
+        """
+        if upto > len(prompt) - 1:
+            return False
+        head = prompt[:upto]
+        return any(state.pending is not None and state.request.prompt_tokens[:upto] == head
+                   for state in self._active.values())
+
+    def _forward(self, plan: list) -> list:
+        """Run the step's plan as one ``forward_step``; returns each row's logits.
+
+        Rows of equal length go in as one 2-D array, others as ragged rows.
+        Every chunk's full pages enter the radix index as soon as the forward
+        has written them, and the clock is charged once for every token.
+        """
+        width = len(plan[0][1])
+        ids = [chunk for _state, chunk in plan]
+        if all(len(chunk) == width for chunk in ids):
+            ids = np.array(ids, dtype=np.int64)
+        logits = self.model.forward_step(ids, self.cache, rows=[state.slot for state, _ in plan])
+        decoded = prefilled = 0
+        for state, chunk in plan:
+            if state.pending is None:
+                decoded += 1
+            else:
+                prefilled += len(chunk)
+                self.cache.commit_prefix(state.slot, state.request.prompt_tokens)
+        self._decode_tokens += decoded
+        self._prefill_tokens += prefilled
+        self._m_decode.inc(decoded)
+        self._m_prefill.inc(prefilled)
+        self.clock.on_tokens(decoded + prefilled)
         return logits
 
     def _sample(self, state: _ActiveRequest, logits: np.ndarray) -> None:
@@ -767,6 +842,11 @@ class ServeEngine:
             return
         tracer.complete("queued", done.arrival_time, done.admitted_time, track,
                         args={"request_id": rid})
+        if done.first_token_time is None:
+            # cancelled or timed out part-way through its prompt
+            tracer.complete("prefill", done.admitted_time, done.finish_time, track,
+                            args={"request_id": rid, "finish_reason": done.finish_reason})
+            return
         tracer.complete("prefill", done.admitted_time, done.first_token_time,
                         track, args={"request_id": rid})
         tracer.complete("decode", done.first_token_time, done.finish_time, track,

@@ -175,6 +175,17 @@ class PagedKVCache:
         return self.quantizer.spec if self.quantizer is not None else "fp16"
 
     @property
+    def split_invariant(self) -> bool:
+        """Whether appending a row's positions in several chunks stores what one append does.
+
+        True without a quantiser and for a
+        :attr:`~repro.quant.Quantizer.batch_separable` one (every scale lives
+        inside one ``head_dim`` vector); false when a scale spans the row's
+        appended chunk (per-tensor or per-channel INT).
+        """
+        return self.quantizer is None or self._batch_separable
+
+    @property
     def lengths(self) -> np.ndarray:
         """Valid positions per slot (do not mutate; use append/advance/reset)."""
         return self._lengths

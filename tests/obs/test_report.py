@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.obs.profiler import DECODE_FORWARD, QUANT_APPEND, SAMPLING, PhaseProfiler
+from repro.obs.profiler import FORWARD, QUANT_APPEND, SAMPLING, PhaseProfiler
 from repro.obs.report import (load_report_file, render_hotspot_report,
                               render_report, render_trace_report)
 from repro.obs.tracing import SpanTracer
@@ -57,14 +57,14 @@ class TestRenderers:
 
     def test_hotspot_report_ranks_and_marks_nested_phases(self):
         prof = PhaseProfiler()
-        prof.add(DECODE_FORWARD, 0.8)
+        prof.add(FORWARD, 0.8)
         prof.add(SAMPLING, 0.2)
         prof.add(QUANT_APPEND, 0.3)
         text = render_hotspot_report(prof.snapshot())
         lines = [line for line in text.splitlines() if line]
         assert lines[0].startswith("decode-path profile: 1.0000s")
         body = "\n".join(lines)
-        assert body.index("decode_forward") < body.index("sampling")
+        assert body.index("forward") < body.index("sampling")
         assert "80.0%" in body      # decode share of top-level time
         assert "forward" in body    # nested marker column
 

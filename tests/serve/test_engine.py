@@ -103,6 +103,28 @@ class TestScheduling:
                 if a.request.arrival_time < b.request.arrival_time:
                     assert a.admitted_time <= b.admitted_time
 
+    def test_step_budget_bounds_every_forward(self, tiny_inference_model):
+        # prompts longer than the budget are prefilled in chunks, an idle
+        # engine's first step included, and still decode their solo tokens
+        engine = make_engine(tiny_inference_model, max_batch_size=3, max_step_tokens=10)
+        sizes = []
+        forward_step = engine.model.forward_step
+
+        def counting(tokens, cache, rows=None):
+            sizes.append(sum(len(row) for row in tokens))
+            return forward_step(tokens, cache, rows)
+
+        engine.model.forward_step = counting
+        requests = [Request(request_id=i, prompt_tokens=tuple(range(1 + i, 4 + 7 * i)),
+                            max_new_tokens=5) for i in range(4)]
+        report = engine.run(requests)
+        assert sizes[0] == 10 and max(sizes) <= 10
+        assert report.prefill_tokens == sum(len(r.prompt_tokens) for r in requests)
+        for done in report.completed:
+            solo = generate_tokens(tiny_inference_model, np.array(done.request.prompt_tokens),
+                                   GenerationConfig(max_new_tokens=5))
+            np.testing.assert_array_equal(done.tokens, solo)
+
     def test_idle_engine_fast_forwards_to_next_arrival(self, tiny_inference_model):
         clock = VirtualClock(time_per_token=1e-3)
         engine = make_engine(tiny_inference_model, clock=clock, max_batch_size=2)
@@ -171,6 +193,17 @@ class TestValidation:
         assert numpy_ints.prompt_tokens == (1, 2)
         assert numpy_ints.projected_tokens == 4
         assert Request(request_id=0, prompt_tokens=[np.int64(7), 8]).prompt_tokens == (7, 8)
+
+    @pytest.mark.parametrize("field", ["max_batch_size", "token_budget", "max_seq_len",
+                                       "kv_page_size", "num_kv_blocks", "max_step_tokens"])
+    def test_non_integer_engine_sizes_rejected(self, tiny_inference_model, field):
+        # a float used to be truncated somewhere downstream: 2.5-token pages
+        # served 2-token pages, 40.5 blocks built 40, a 20.5-token slot capped
+        # at 20, and max_batch_size=2.5 failed later inside range()
+        with pytest.raises(TypeError, match=field):
+            EngineConfig(**{field: 2.5})
+        engine = make_engine(tiny_inference_model, **{field: np.int64(40)})
+        assert getattr(engine.config, field) == 40
 
     def test_per_tensor_kv_quantisation_is_isolated_per_request(self, tiny_inference_model):
         """A request's tokens must not depend on who shares its decode batch.
@@ -277,6 +310,19 @@ class TestPagedEngine:
         assert paged.kv_hit_rate > 0.5  # 24 of 26 prompt tokens shared
         assert paged.elapsed_s < dense.elapsed_s  # skipped prefill = skipped tokens
         assert dense.kv_hit_rate == 0.0 and dense.reused_tokens == 0
+
+    @pytest.mark.parametrize("max_step_tokens", [64, 8])
+    def test_same_prefix_newcomers_compute_the_shared_pages_once(
+        self, tiny_inference_model, max_step_tokens
+    ):
+        # both arrive together: the second waits until the first has committed
+        # the shared pages (over several chunks at the 8-token budget), then
+        # adopts all five of them
+        requests = self._shared_prefix_requests(count=2)
+        report = make_engine(tiny_inference_model, max_batch_size=2, kv_page_size=4,
+                             max_step_tokens=max_step_tokens).run(requests)
+        assert report.reused_tokens == 20
+        assert report.prefill_tokens == 22 + 2
 
     def test_quantised_paged_decode_matches_dense_for_block_formats(
         self, tiny_inference_model

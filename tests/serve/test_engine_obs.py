@@ -123,9 +123,8 @@ class TestEngineProfiler:
             engine.submit(request)
         engine.run()
         phases = {row["phase"] for row in obs.profiler.hotspots()}
-        assert phases == {"admission", "prefill_forward", "decode_forward",
-                          "page_gather", "quantize_append", "sampling",
-                          "release"}
+        assert phases == {"admission", "forward", "page_gather", "quantize_append",
+                          "sampling", "release"}
         shares = [row["share"] for row in obs.profiler.hotspots()
                   if row["share"] is not None]
         assert sum(shares) == pytest.approx(1.0)

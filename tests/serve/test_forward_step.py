@@ -143,6 +143,80 @@ class TestRaggedBatches:
             assert np.argmax(batched[row, -1]) == np.argmax(alone[-1])
 
 
+class TestPackedStep:
+    """One forward over decode rows and prefill chunks of different slots."""
+
+    @staticmethod
+    def _state(model, cache):
+        """Slots 0 and 3 decoding, slot 1 part-way through its prompt, slot 2 free."""
+        rng = np.random.default_rng(3)
+        vocab = model.config.vocab_size
+        for row, length in ((0, 9), (3, 14), (1, 6)):
+            model.forward_step(rng.integers(0, vocab, size=(1, length)), cache, rows=[row])
+        return [rng.integers(0, vocab, size=1), rng.integers(0, vocab, size=1),
+                rng.integers(0, vocab, size=5)]
+
+    def test_decode_rows_read_their_slot_range_as_one_pool_view(self, bench_shaped_model):
+        model = bench_shaped_model
+        cache = PagedKVCache(model.config, batch_size=4, kv_spec="BBFP(4,2)",
+                             page_size=PAGE_SIZE)
+        tokens = self._state(model, cache)
+        reads = []
+        context = cache.context
+
+        def recording_context(layer, rows, context_len):
+            k, v = context(layer, rows, context_len)
+            reads.append((list(rows), np.shares_memory(k, cache.pool.k_store[layer])))
+            return k, v
+
+        cache.context = recording_context
+        logits = model.forward_step(tokens, cache, rows=[0, 3, 1])
+        decode_reads = [view for rows, view in reads if rows == [0, 1, 2, 3]]
+        assert decode_reads == [True] * model.config.n_layers
+        np.testing.assert_array_equal(cache.lengths, [10, 11, 0, 15])
+
+        # the same step on a pool too small for home placement gathers every
+        # read; the decoding rows' logits must not move by a single bit
+        gather = PagedKVCache(model.config, batch_size=4, kv_spec="BBFP(4,2)",
+                              page_size=PAGE_SIZE, num_blocks=cache.num_blocks - 1)
+        self._state(model, gather)
+        gathered = model.forward_step(tokens, gather, rows=[0, 3, 1])
+        for row in (0, 1):
+            np.testing.assert_array_equal(logits[row], gathered[row])
+
+    @pytest.mark.parametrize("kv_spec", [None, "BBFP(4,2)", "bfp8@b32"])
+    def test_ragged_step_matches_separate_calls(self, bench_shaped_model, kv_spec):
+        model = bench_shaped_model
+        packed = PagedKVCache(model.config, batch_size=4, kv_spec=kv_spec, page_size=PAGE_SIZE)
+        apart = PagedKVCache(model.config, batch_size=4, kv_spec=kv_spec, page_size=PAGE_SIZE)
+        tokens = self._state(model, packed)
+        self._state(model, apart)
+        logits = model.forward_step(tokens, packed, rows=[0, 3, 1])
+        decoded = model.forward_step(np.stack(tokens[:2]), apart, rows=[0, 3])
+        chunk = model.forward_step(tokens[2][None, :], apart, rows=[1])
+        np.testing.assert_allclose(logits[0], decoded[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(logits[1], decoded[1], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(logits[2], chunk[0], rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(packed.lengths, apart.lengths)
+        for layer in range(model.config.n_layers):
+            k_packed, v_packed = packed.context(layer, [0, 1, 2, 3], 15)
+            k_apart, v_apart = apart.context(layer, [0, 1, 2, 3], 15)
+            np.testing.assert_allclose(k_packed, k_apart, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(v_packed, v_apart, rtol=0, atol=1e-12)
+
+    def test_ragged_rows_are_validated(self, tiny_inference_model):
+        model = tiny_inference_model
+        cache = PagedKVCache(model.config, batch_size=2, page_size=PAGE_SIZE)
+        with pytest.raises(ValueError, match="rows"):
+            model.forward_step([np.array([1]), np.array([2, 3])], cache, rows=[0])
+        with pytest.raises(ValueError, match="vocabulary"):
+            model.forward_step([np.array([1]), np.array([2, -3])], cache, rows=[0, 1])
+        with pytest.raises(ValueError, match="non-empty"):
+            model.forward_step([np.array([], dtype=np.int64), np.array([2, 3])], cache,
+                               rows=[0, 1])
+        np.testing.assert_array_equal(cache.lengths, [0, 0])
+
+
 class TestErrors:
     def test_overflow_beyond_capacity_raises(self, tiny_inference_model):
         cache = PagedKVCache(tiny_inference_model.config, batch_size=1, max_seq_len=6,

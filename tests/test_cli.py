@@ -133,6 +133,14 @@ class TestSimulateCommand:
                      "--pe-rows", "8", "--pe-cols", "8", "--phase", "decode"]) == 0
         assert "Oltron" in capsys.readouterr().out
 
+    def test_unknown_strategy_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", "--strategy", "FANCY"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "repro simulate: error: argument --strategy: unknown format" in err
+        assert "Traceback" not in err
+
 
 class TestRunCommand:
     def test_runs_a_cheap_experiment_and_saves_results(self, capsys, tmp_path):
