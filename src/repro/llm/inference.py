@@ -22,6 +22,7 @@ paper's accelerator (the FP adder / FP encoder path in Fig. 7).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -78,6 +79,13 @@ class QuantizationScheme:
     quantize_lm_head:
         Whether the final vocabulary projection is quantised (the paper keeps
         it in the same format as the other linears; disable for ablations).
+    batch_separable:
+        Whether ``activation_fn`` quantises each token's activation vector on
+        its own (see :attr:`repro.quant.Quantizer.batch_separable`), so a
+        linear over several sequences' tokens gives each the values it gets
+        alone.  The serving engine packs requests into one forward, and
+        splits a prompt, only when it does.  ``None`` resolves to true for
+        the identity activation and to false for any other function.
     """
 
     name: str
@@ -86,6 +94,11 @@ class QuantizationScheme:
     softmax_fn: callable = field(default=ref_act.softmax)
     nonlinear_fn: callable = field(default=_reference_nonlinear)
     quantize_lm_head: bool = True
+    batch_separable: Optional[bool] = None
+
+    def __post_init__(self):
+        if self.batch_separable is None:
+            self.batch_separable = self.activation_fn is _identity_activation
 
     # ------------------------------------------------------------- factories
     @staticmethod
@@ -100,6 +113,7 @@ class QuantizationScheme:
             name=name,
             weight_fn=lambda _, w: fp16_round(w),
             activation_fn=lambda _, x: fp16_round(x),
+            batch_separable=True,
         )
 
     @staticmethod
@@ -131,11 +145,13 @@ class QuantizationScheme:
             act = lambda _, x: config.quantize_dequantize(x, axis=-1)
             default_name = getattr(config, "name", type(config).__name__)
             return QuantizationScheme(name=name or default_name,
-                                      weight_fn=weight, activation_fn=act)
+                                      weight_fn=weight, activation_fn=act,
+                                      batch_separable=getattr(config, "batch_separable", False))
         weight = lambda _, w: quantizer.quantize_dequantize(w, axis=0)
         act = lambda _, x: quantizer.quantize_dequantize(x, axis=-1)
         return QuantizationScheme(name=name or quantizer.name,
-                                  weight_fn=weight, activation_fn=act)
+                                  weight_fn=weight, activation_fn=act,
+                                  batch_separable=quantizer.batch_separable)
 
     def with_nonlinear(self, softmax_fn=None, nonlinear_fn=None, name: str = None) -> "QuantizationScheme":
         """Return a copy with the nonlinear operators replaced (Table IV experiments)."""
@@ -146,6 +162,7 @@ class QuantizationScheme:
             softmax_fn=softmax_fn or self.softmax_fn,
             nonlinear_fn=nonlinear_fn or self.nonlinear_fn,
             quantize_lm_head=self.quantize_lm_head,
+            batch_separable=self.batch_separable,
         )
 
 

@@ -8,9 +8,9 @@ request, and a FIFO arrival queue.  Every :meth:`~ServeEngine.step` builds one
 1. **decode rows**: every request past its prompt contributes its last
    sampled token;
 2. **prefill chunks** fill what is left of the per-step token budget
-   (``EngineConfig.max_step_tokens``, which counts decode rows and chunk
-   tokens alike): first requests already part-way through their prompt, then
-   newly **admitted** ones.  Admission takes queued requests whose arrival
+   (:data:`MAX_STEP_TOKENS`, which counts decode rows and chunk tokens
+   alike): first requests already part-way through their prompt, then newly
+   **admitted** ones.  Admission takes queued requests whose arrival
    time has passed, in strict arrival order (head-of-line blocking — a large
    request cannot be starved by smaller ones overtaking it), while a free
    slot exists, the projected KV footprint stays within the token budget,
@@ -26,6 +26,10 @@ request, and a FIFO arrival queue.  Every :meth:`~ServeEngine.step` builds one
    request decodes from the next step on;
 4. **retires** finished requests (length limit, stop token or deadline),
    freeing their slot and cache rows for the next admission.
+
+A model whose activation quantiser is not batch-separable (one scale over
+every token of a forward) runs each prompt whole and alone instead, in a step
+of its own (see :meth:`ServeEngine._plan`).
 
 Time comes from a pluggable clock: :class:`WallClock` measures real compute
 time (and fast-forwards over idle gaps instead of sleeping, so light traffic
@@ -52,7 +56,7 @@ from repro.obs import Observability
 from repro.serve.kv_cache import PagedKVCache
 
 __all__ = ["Request", "CompletedRequest", "EngineConfig", "ServeEngine", "ServeReport",
-           "WallClock", "VirtualClock", "OK_FINISH_REASONS"]
+           "WallClock", "VirtualClock", "OK_FINISH_REASONS", "MAX_STEP_TOKENS"]
 
 
 # --------------------------------------------------------------------- clocks
@@ -104,8 +108,9 @@ class Request:
     mirror :class:`~repro.llm.generation.GenerationConfig`; ``stop_token``
     optionally terminates generation early when sampled.  ``deadline`` is an
     absolute engine-clock instant: a request still queued past it is timed
-    out without ever touching the cache, and a decoding request is finished
-    with reason ``"timeout"`` at the first step boundary past it.
+    out without ever touching the cache, and an admitted one (prefilling or
+    decoding) is finished with reason ``"timeout"`` at the first step
+    boundary past it.
     """
 
     request_id: int
@@ -213,6 +218,16 @@ class _ActiveRequest:
 
 
 # --------------------------------------------------------------------- engine
+#: Tokens one step's forward processes at most: every decode row counts one,
+#: every prefill chunk its length.  Decode rows run first and prefill chunks
+#: take what is left, so a newcomer's prompt never stalls the decoding
+#: requests for more than this many tokens, and an idle engine does not
+#: prefill its whole queue in one forward.  From a sweep of 32/48/64/96/128
+#: on the serving benchmarks (``docs/serving.md``).  A prompt that may not be
+#: split runs whole (see :meth:`ServeEngine._plan`).
+MAX_STEP_TOKENS = 64
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """Scheduling shape of a :class:`ServeEngine`.
@@ -223,17 +238,6 @@ class EngineConfig:
     never overcommit cache memory (default: every slot full).  ``kv_spec``
     selects the KV-cache quantiser; ``max_seq_len`` shrinks the per-slot
     capacity below the model's limit.
-
-    ``max_step_tokens`` bounds the tokens one step's forward processes:
-    every decode row counts one, every prefill chunk its length.  Decode rows
-    always run; prefill chunks take what is left, so a newcomer's prompt
-    never stalls the decoding requests for more than that many tokens, and
-    an idle engine does not prefill its whole queue in one forward.  The
-    default, 64, won a sweep of 32/48/64/96/128 on the serving benchmarks
-    (``docs/serving.md``).  With a KV quantiser whose scale spans a row's
-    appended chunk (per-tensor or per-channel INT), splitting a prompt would
-    change its stored K/V, so such a prompt runs whole: alone in the step's
-    prefill share if it does not fit what is left.
 
     K/V lives in ``kv_page_size``-token pages with radix-tree prefix sharing
     and free-block admission accounting.  ``num_kv_blocks`` sizes the page
@@ -251,11 +255,10 @@ class EngineConfig:
     max_seq_len: Optional[int] = None
     kv_page_size: int = 16
     num_kv_blocks: Optional[int] = None
-    max_step_tokens: int = 64
 
     def __post_init__(self):
         for name in ("max_batch_size", "token_budget", "max_seq_len", "kv_page_size",
-                     "num_kv_blocks", "max_step_tokens"):
+                     "num_kv_blocks"):
             value = getattr(self, name)
             if value is not None and not isinstance(value, numbers.Integral):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
@@ -267,8 +270,6 @@ class EngineConfig:
             raise ValueError("kv_page_size must be >= 1")
         if self.num_kv_blocks is not None and self.num_kv_blocks < 1:
             raise ValueError("num_kv_blocks must be >= 1")
-        if self.max_step_tokens < 1:
-            raise ValueError("max_step_tokens must be >= 1")
 
 
 @dataclass
@@ -339,9 +340,9 @@ class ServeEngine:
     ``queue_depth`` / ``projected_load``, and supports online control:
     :meth:`cancel` removes a queued or active request and releases its KV
     pages immediately, per-request deadlines are enforced at admission and at
-    every decode step boundary, and the optional ``on_admit(request_id,
-    now)`` / ``on_token(request_id, token, now)`` callbacks let a streaming
-    front door observe admissions and sampled tokens as they happen.
+    every step boundary, and the optional ``on_admit(request_id, now)`` /
+    ``on_token(request_id, token, now)`` callbacks let a streaming front door
+    observe admissions and sampled tokens as they happen.
     """
 
     def __init__(self, model: InferenceModel, config: Optional[EngineConfig] = None,
@@ -361,6 +362,10 @@ class ServeEngine:
                              else self.config.max_batch_size * self.cache.max_seq_len)
         self.on_admit = on_admit
         self.on_token = on_token
+        # one activation scale across the step's tokens forbids packing
+        # requests; a model object without a quantisation scheme has none
+        scheme = getattr(model, "scheme", None)
+        self._packable = scheme is None or scheme.batch_separable
         self._queue = []  # heap of (arrival_time, submit_seq, Request)
         self._submit_seq = 0
         self._active = {}  # slot -> _ActiveRequest
@@ -641,7 +646,6 @@ class ServeEngine:
         self._peak_active = max(self._peak_active, len(self._active))
         if plan:
             logits = self._forward(plan)
-            finish_time = self.clock.now()
             for (state, chunk), row_logits in zip(plan, logits):
                 if state.pending is not None:
                     # a prompt's first token comes from its last chunk
@@ -649,13 +653,18 @@ class ServeEngine:
                                      if len(chunk) < state.pending.size else None)
                 if state.pending is None:
                     self._sample(state, row_logits[-1])
-                deadline = state.request.deadline
-                if (state.finish_reason is None and deadline is not None
-                        and deadline < finish_time):
-                    state.finish_reason = "timeout"
-                    self._timed_out += 1
-                if state.finish_reason is not None:
-                    completed_now.append(self._release(state, finish_time))
+        # every active request, not only the plan's: a request this step left
+        # out still times out at the first step boundary past its deadline
+        finish_time = self.clock.now()
+        for slot in sorted(self._active):
+            state = self._active[slot]
+            deadline = state.request.deadline
+            if (state.finish_reason is None and deadline is not None
+                    and deadline < finish_time):
+                state.finish_reason = "timeout"
+                self._timed_out += 1
+            if state.finish_reason is not None:
+                completed_now.append(self._release(state, finish_time))
         self._steps += 1
         self._m_steps.inc()
         self._m_queue_depth.set(len(self._queue))
@@ -664,16 +673,28 @@ class ServeEngine:
         return completed_now
 
     def _plan(self, completed_now: list) -> list:
-        """This step's ``(state, new token ids)`` rows, within ``max_step_tokens``.
+        """This step's ``(state, new token ids)`` rows, within :data:`MAX_STEP_TOKENS`.
 
-        Decode rows first, in slot order (their one token each always runs),
-        then prefill chunks: requests part-way through their prompt, in
-        admission order, then newly admitted ones, until the budget is spent.
+        Decode rows first, in slot order, then prefill chunks: requests
+        part-way through their prompt, in admission order, then newly
+        admitted ones, until the budget is spent.  A prompt is split only if
+        its chunks store the K/V a whole one does
+        (``PagedKVCache.split_invariant``); otherwise it runs whole, alone in
+        the step's prefill share if it does not fit what is left.
+
+        If the model's activation quantiser is not ``batch_separable`` (a
+        per-tensor or per-channel INT scheme), one scale spans every token of
+        a forward, so a prompt runs whole and alone, as on an idle engine:
+        the step holds the next admission's prompt if there is one, and the
+        decode rows otherwise.
         """
         plan = [(state, (state.last_token,)) for _slot, state in sorted(self._active.items())
                 if state.pending is None]
+        if not self._packable:
+            state = self._admit(completed_now, 0, whole_ok=True) if self._free_slots else None
+            return plan if state is None else [(state, state.pending)]
         decode_rows = len(plan)
-        left = self.config.max_step_tokens - decode_rows
+        left = MAX_STEP_TOKENS - decode_rows
         for state in self._active.values():  # insertion order: admission order
             if state.pending is not None and left > 0:
                 plan.append((state, state.pending[:left]))
@@ -693,7 +714,7 @@ class ServeEngine:
 
         Expired heads are timed out onto ``completed_now`` first.  ``left`` is
         what the step's token budget still holds; a prompt that may not be
-        split (see :class:`EngineConfig`) waits unless it fits or
+        split (see :meth:`_plan`) waits unless it fits or
         ``whole_ok`` (no other prompt in this step) lets it run whole.  A head
         that shares its next uncached page with a prompt still being
         prefilled waits too: that page is in the index once the other

@@ -181,7 +181,9 @@ class PagedKVCache:
         True without a quantiser and for a
         :attr:`~repro.quant.Quantizer.batch_separable` one (every scale lives
         inside one ``head_dim`` vector); false when a scale spans the row's
-        appended chunk (per-tensor or per-channel INT).
+        appended chunk (per-tensor or per-channel INT).  The engine splits a
+        prompt only if the model's activation quantiser is batch-separable
+        too (:attr:`~repro.llm.inference.QuantizationScheme.batch_separable`).
         """
         return self.quantizer is None or self._batch_separable
 
@@ -380,15 +382,18 @@ class PagedKVCache:
         return len(matched) * self.page_size
 
     def commit_prefix(self, row: int, tokens) -> None:
-        """Index a just-prefilled prompt's full pages for immediate reuse.
+        """Index the full pages of a prompt's prefilled positions for reuse.
 
-        Called by the engine right after prefill: the prompt's K/V is
-        complete from that moment on, so a same-prefix request admitted in
-        the very same step already hits — without this, concurrent members
-        of a prefix group would all miss until the first one retired.
-        Sharing the pages while their writer is still running is safe: the
-        indexed pages are full, decode only appends past the prompt, and the
-        partial tail page it does write into is not indexed.
+        Called by the engine after each prefill chunk's forward: the K/V of
+        every full page so far is final from that moment on, so a
+        same-prefix request admitted at a later step already hits — without
+        this, concurrent members of a prefix group would all miss until the
+        first one retired.  A queued head that shares a page still being
+        prefilled waits for it (``ServeEngine._in_flight_prefix``), so the
+        page is computed once.  Sharing the pages while their writer is
+        still running is safe: the indexed pages are full, later chunks and
+        decode only append past them, and the partial tail page they do
+        write into is not indexed.
         """
         cached = int(self._lengths[row])
         self.index.insert(tuple(tokens)[:cached], self._tables[row])

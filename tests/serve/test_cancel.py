@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.llm.inference import InferenceModel, QuantizationScheme
+from repro.serve import engine as engine_module
 from repro.serve.engine import EngineConfig, Request, ServeEngine, VirtualClock
 
 
@@ -195,6 +197,47 @@ class TestDeadlines:
         engine.run()
         # a timeout's K/V is valid: its pages stay cached for prefix reuse
         assert len(engine.cache.index) > 0
+        assert_clean_audit(engine)
+
+    def test_prefilling_request_without_a_chunk_times_out_at_the_step_boundary(
+        self, tiny_inference_model, monkeypatch
+    ):
+        # request 3 is part-way through its prompt when three decode rows
+        # fill a budget cut to 3: it gets no chunk, yet its deadline is
+        # checked at that step's boundary like every active request's
+        monkeypatch.setattr(engine_module, "MAX_STEP_TOKENS", 8)
+        engine = make_engine(tiny_inference_model, max_batch_size=4)
+        for rid in range(3):
+            engine.submit(Request(request_id=rid, prompt_tokens=(rid + 1,),
+                                  max_new_tokens=10))
+        engine.submit(Request(request_id=3, prompt_tokens=tuple(range(1, 31)),
+                              max_new_tokens=2, deadline=0.009))
+        assert engine.step() == []  # three 1-token prompts and a 5-token chunk
+        monkeypatch.setattr(engine_module, "MAX_STEP_TOKENS", 3)
+        (timed,) = engine.step()  # the three decode rows alone
+        assert timed.request.request_id == 3 and timed.finish_reason == "timeout"
+        assert timed.first_token_time is None
+        assert timed.finish_time == pytest.approx(0.011)
+        assert_clean_audit(engine)
+
+    def test_decode_row_left_out_of_a_prompt_step_times_out_at_its_boundary(
+        self, tiny_model_config, tiny_state_dict
+    ):
+        # a per-tensor INT activation scheme runs request 1's prompt alone,
+        # in a step with no decode row for request 0, whose deadline passes
+        model = InferenceModel(tiny_model_config, tiny_state_dict,
+                               scheme=QuantizationScheme.from_format("int4"))
+        engine = make_engine(model)
+        engine.submit(Request(request_id=0, prompt_tokens=(1, 2, 3), max_new_tokens=20,
+                              deadline=0.01))
+        engine.submit(Request(request_id=1, prompt_tokens=tuple(range(1, 41)),
+                              max_new_tokens=2, arrival_time=0.0035))
+        by_id = {c.request.request_id: c for c in engine.run().completed}
+        timed = by_id[0]
+        assert timed.finish_reason == "timeout"
+        # prefill and one decode step before the prompt step
+        assert len(timed.generated_tokens) == 2
+        assert timed.finish_time == by_id[1].first_token_time
         assert_clean_audit(engine)
 
     def test_non_finite_deadline_rejected(self):

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.llm.generation import GenerationConfig, generate_tokens
+from repro.llm.inference import InferenceModel, QuantizationScheme
+from repro.serve import engine as engine_module
 from repro.serve.engine import EngineConfig, Request, ServeEngine, VirtualClock
 from repro.serve.workload import WorkloadConfig, generate_requests
 
@@ -103,10 +107,11 @@ class TestScheduling:
                 if a.request.arrival_time < b.request.arrival_time:
                     assert a.admitted_time <= b.admitted_time
 
-    def test_step_budget_bounds_every_forward(self, tiny_inference_model):
+    def test_step_budget_bounds_every_forward(self, tiny_inference_model, monkeypatch):
         # prompts longer than the budget are prefilled in chunks, an idle
         # engine's first step included, and still decode their solo tokens
-        engine = make_engine(tiny_inference_model, max_batch_size=3, max_step_tokens=10)
+        monkeypatch.setattr(engine_module, "MAX_STEP_TOKENS", 10)
+        engine = make_engine(tiny_inference_model, max_batch_size=3)
         sizes = []
         forward_step = engine.model.forward_step
 
@@ -153,6 +158,39 @@ class TestScheduling:
         assert summary["decode_tokens_per_s"] > 0
 
 
+class TestUnpackedScheme:
+    """A per-tensor INT activation quantiser: one scale spans a forward's tokens."""
+
+    def test_prompts_run_whole_and_alone_and_their_first_tokens_match_solo(
+        self, tiny_model_config, tiny_state_dict, monkeypatch
+    ):
+        monkeypatch.setattr(engine_module, "MAX_STEP_TOKENS", 8)
+        model = InferenceModel(tiny_model_config, tiny_state_dict,
+                               scheme=QuantizationScheme.from_format("int4"))
+        assert not model.scheme.batch_separable
+        forwards = []
+        forward_step = model.forward_step
+
+        def recording(tokens, cache, rows=None):
+            forwards.append([len(row) for row in tokens])
+            return forward_step(tokens, cache, rows)
+
+        model.forward_step = recording
+        # prompts of 3, 9, 15 and 21 tokens, arriving while others decode
+        requests = [Request(request_id=i, prompt_tokens=tuple(range(1 + i, 4 + 7 * i)),
+                            max_new_tokens=5, arrival_time=0.002 * i) for i in range(4)]
+        report = make_engine(model, max_batch_size=3).run(requests)
+        # every forward is one whole prompt, or decode rows only
+        assert sorted(sizes[0] for sizes in forwards if len(sizes) == 1 and sizes[0] > 1) == \
+            [3, 9, 15, 21]
+        assert all(len(sizes) == 1 or set(sizes) == {1} for sizes in forwards)
+        model.forward_step = forward_step
+        for done in report.completed:
+            alone = dataclasses.replace(done.request, request_id=0, arrival_time=0.0)
+            (solo,) = make_engine(model, max_batch_size=1).run([alone]).completed
+            assert done.generated_tokens[0] == solo.generated_tokens[0]
+
+
 class TestValidation:
     def test_prompt_outside_vocabulary_rejected(self, tiny_inference_model):
         engine = make_engine(tiny_inference_model)
@@ -195,7 +233,7 @@ class TestValidation:
         assert Request(request_id=0, prompt_tokens=[np.int64(7), 8]).prompt_tokens == (7, 8)
 
     @pytest.mark.parametrize("field", ["max_batch_size", "token_budget", "max_seq_len",
-                                       "kv_page_size", "num_kv_blocks", "max_step_tokens"])
+                                       "kv_page_size", "num_kv_blocks"])
     def test_non_integer_engine_sizes_rejected(self, tiny_inference_model, field):
         # a float used to be truncated somewhere downstream: 2.5-token pages
         # served 2-token pages, 40.5 blocks built 40, a 20.5-token slot capped
@@ -311,16 +349,17 @@ class TestPagedEngine:
         assert paged.elapsed_s < dense.elapsed_s  # skipped prefill = skipped tokens
         assert dense.kv_hit_rate == 0.0 and dense.reused_tokens == 0
 
-    @pytest.mark.parametrize("max_step_tokens", [64, 8])
+    @pytest.mark.parametrize("step_tokens", [64, 8])
     def test_same_prefix_newcomers_compute_the_shared_pages_once(
-        self, tiny_inference_model, max_step_tokens
+        self, tiny_inference_model, monkeypatch, step_tokens
     ):
         # both arrive together: the second waits until the first has committed
         # the shared pages (over several chunks at the 8-token budget), then
         # adopts all five of them
+        monkeypatch.setattr(engine_module, "MAX_STEP_TOKENS", step_tokens)
         requests = self._shared_prefix_requests(count=2)
-        report = make_engine(tiny_inference_model, max_batch_size=2, kv_page_size=4,
-                             max_step_tokens=max_step_tokens).run(requests)
+        report = make_engine(tiny_inference_model, max_batch_size=2,
+                             kv_page_size=4).run(requests)
         assert report.reused_tokens == 20
         assert report.prefill_tokens == 22 + 2
 

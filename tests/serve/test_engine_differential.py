@@ -18,6 +18,13 @@ Per-tensor and per-channel ``int8`` K/V scales span a request's whole
 appended prompt, so a page shared from another request's prompt holds other
 values than a solo prefill computes.  For those specs every prompt opens
 with its own token, so nothing is shared; the block formats and fp16 share.
+
+Quantised linears are checked too.  A block-format weight spec quantises
+each token's activations on its own, so the same checks hold.  Under a
+per-tensor ``int4`` one, one activation scale spans a forward's tokens: the
+engine runs each prompt whole and alone, so a request's first token still
+equals its solo one, while its later tokens share a decode forward — and its
+scale — with the rest of the batch, as they always have.
 """
 
 from __future__ import annotations
@@ -27,11 +34,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.llm.inference import InferenceModel, QuantizationScheme
 from repro.quant import get_quantizer
 from repro.serve.engine import EngineConfig, Request, ServeEngine, VirtualClock
 
 KV_SPECS = [None, "BBFP(4,2)", "bfp8@b32", "int8", "int8@pc"]
 PAGE_SIZES = [1, 4, 16, 160]
+WEIGHT_SPECS = ["BBFP(4,2)", "int4"]
 
 #: Decode steps a scenario may take before the run counts as wedged.
 MAX_STEPS = 2_000
@@ -134,12 +143,13 @@ def _solo_tokens(model, request: Request, kv_spec, page_size: int) -> tuple:
     return done.generated_tokens
 
 
-@pytest.mark.parametrize("page_size", PAGE_SIZES, ids=lambda p: f"page{p}")
-@pytest.mark.parametrize("kv_spec", KV_SPECS, ids=lambda s: s or "fp16")
-def test_batched_engine_matches_solo_decodes(bench_shaped_model, kv_spec, page_size):
-    model = bench_shaped_model
-    shareable = kv_spec is None or get_quantizer(kv_spec).batch_separable
-    seed = 1000 * KV_SPECS.index(kv_spec) + page_size
+def _check_against_solo(model, kv_spec, page_size: int, seed: int, shareable: bool,
+                        whole_answers: bool = True) -> None:
+    """Serve one drawn scenario twice and hold it against solo decodes.
+
+    ``whole_answers=False`` holds only each request's first token to its
+    solo decode.
+    """
     batch, requests, cancels = _draw_scenario(
         seed, model.config.vocab_size, model.config.max_seq_len, shareable)
     config = EngineConfig(max_batch_size=batch, kv_spec=kv_spec, kv_page_size=page_size)
@@ -157,7 +167,10 @@ def test_batched_engine_matches_solo_decodes(bench_shaped_model, kv_spec, page_s
         if not done.ok and not done.generated_tokens:
             continue
         solo = _solo_tokens(model, request, kv_spec, page_size)
-        if done.ok:
+        if not whole_answers:
+            assert done.generated_tokens[:1] == solo[:1], (
+                f"request {request.request_id}: first token diverged from its solo decode")
+        elif done.ok:
             assert done.generated_tokens == solo, (
                 f"request {request.request_id} ({done.finish_reason}) diverged "
                 f"from its solo decode")
@@ -166,3 +179,23 @@ def test_batched_engine_matches_solo_decodes(bench_shaped_model, kv_spec, page_s
             assert partial == solo[:len(partial)], (
                 f"request {request.request_id} ({done.finish_reason}) produced "
                 f"tokens its solo decode does not")
+
+
+@pytest.mark.parametrize("page_size", PAGE_SIZES, ids=lambda p: f"page{p}")
+@pytest.mark.parametrize("kv_spec", KV_SPECS, ids=lambda s: s or "fp16")
+def test_batched_engine_matches_solo_decodes(bench_shaped_model, kv_spec, page_size):
+    shareable = kv_spec is None or get_quantizer(kv_spec).batch_separable
+    _check_against_solo(bench_shaped_model, kv_spec, page_size,
+                        seed=1000 * KV_SPECS.index(kv_spec) + page_size, shareable=shareable)
+
+
+@pytest.mark.parametrize("weight_spec", WEIGHT_SPECS)
+def test_quantised_linears_match_solo_decodes(bench_shaped_state, weight_spec):
+    model = InferenceModel(*bench_shaped_state,
+                           scheme=QuantizationScheme.from_format(weight_spec))
+    separable = model.scheme.batch_separable
+    assert separable == (weight_spec != "int4")
+    # a cached prefix would shorten the prefilled suffix, and with it the
+    # span of a per-tensor scale: int4 prompts share nothing
+    _check_against_solo(model, None, 16, seed=7000 + WEIGHT_SPECS.index(weight_spec),
+                        shareable=separable, whole_answers=separable)
