@@ -28,7 +28,7 @@ import numpy as np
 from repro.core.blocking import from_blocks, to_blocks
 from repro.core.exponent_selection import shift_for_strategy
 from repro.core.floatspec import ZERO_EXPONENT
-from repro.core.rounding import round_magnitudes
+from repro.core.rounding import RoundingMode, round_magnitudes, rounding_from_name
 
 __all__ = ["BlockKernel"]
 
@@ -45,7 +45,7 @@ class BlockKernel:
         overlap = getattr(config, "overlap_bits", None)
         m = config.mantissa_bits
         self.block_size = config.block_size
-        self.rounding = config.rounding
+        self.rounding = rounding_from_name(config.rounding)
         self.shift = shift_for_strategy(config.exponent_strategy, m, overlap or 0)
         # the kernel clips frexp's int32 exponents; wider fields clip nothing
         self.exponent_min = max(config.exponent_min, -(1 << 31))
@@ -73,7 +73,8 @@ class BlockKernel:
     def quantize_dequantize(self, x: np.ndarray, axis: int = -1,
                             rng: np.random.Generator = None) -> np.ndarray:
         """Fake-quantise ``x`` along ``axis``: the encoder's values, in one pass."""
-        x = np.asarray(x, dtype=np.float64)
+        if type(x) is not np.ndarray or x.dtype != np.float64:
+            x = np.asarray(x, dtype=np.float64)
         size = self.block_size
         if x.ndim and axis in (-1, x.ndim - 1) and x.shape[-1] % size == 0:
             layout = None
@@ -98,7 +99,10 @@ class BlockKernel:
         low, high = self.steps(shared)
         step = low if high is None else np.where(values >= np.ldexp(2.0, shared), high, low)
         np.divide(values, step, out=values)
-        values = round_magnitudes(values, self.rounding, rng=rng)
+        if self.rounding is RoundingMode.NEAREST:
+            np.rint(values, out=values)  # what round_magnitudes does, in place
+        else:
+            values = round_magnitudes(values, self.rounding, rng=rng)
         np.minimum(values, self.max_code, out=values)
         np.multiply(values, step, out=values)
         np.copysign(values, signs, out=values)

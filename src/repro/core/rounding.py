@@ -9,7 +9,8 @@ the error zero-mean across steps.  This module provides all three so the
 ablation benches can quantify what the choice costs:
 
 ``NEAREST``
-    Round half away from zero (``np.rint`` on magnitudes) — the paper default.
+    Round to nearest, ties to even (``np.rint`` on magnitudes: codes 0.5,
+    1.5, 2.5 and 3.5 become 0, 2, 2 and 4) — the paper default.
 ``TRUNCATE``
     Drop the bits below the step (floor of the magnitude); biased towards
     zero, roughly doubles the error variance versus nearest.

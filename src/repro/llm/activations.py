@@ -16,9 +16,10 @@ __all__ = ["softmax", "log_softmax", "silu", "gelu", "sigmoid", "relu", "exponen
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically-stable softmax along ``axis``."""
     x = np.asarray(x, dtype=np.float64)
-    shifted = x - x.max(axis=axis, keepdims=True)
-    exps = np.exp(shifted)
-    return exps / exps.sum(axis=axis, keepdims=True)
+    exps = x - x.max(axis=axis, keepdims=True)
+    np.exp(exps, out=exps)
+    exps /= exps.sum(axis=axis, keepdims=True)
+    return exps
 
 
 def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -176,6 +176,8 @@ class InferenceModel:
         self._weight_cache = {}
         self._recorder = None
         self._validate_state()
+        self._names = [_block_names(i) for i in range(config.n_layers)]
+        self._attention_scale = np.sqrt(config.head_dim)
 
     # ----------------------------------------------------------------- setup
     def _validate_state(self):
@@ -239,22 +241,35 @@ class InferenceModel:
         weight, bias, quantize = self._weight_cache[name]
         if quantize:
             x = self.scheme.activation_fn(name, x)
-        out = x.reshape(-1, weight.shape[0]) @ weight
+        if x.ndim == 2:  # forward_step's packed tokens: already the GEMM's rows
+            out = x @ weight
+        else:
+            out = (x.reshape(-1, weight.shape[0]) @ weight).reshape(x.shape[:-1]
+                                                                   + weight.shape[1:])
         if bias is not None:
             out += bias
-        return out.reshape(x.shape[:-1] + weight.shape[1:])
+        return out
 
     def _norm(self, prefix: str, x: np.ndarray) -> np.ndarray:
-        gain = self.state[f"{prefix}.gain"]
+        """RMS or layer norm of ``x`` into one new array, in the textbook operation order."""
+        gain = self.state[prefix + ".gain"]
         if self.config.norm == "rmsnorm":
-            mean_square = np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1]
-            return x / np.sqrt(mean_square + 1e-5) * gain
-        bias = self.state[f"{prefix}.bias"]
-        mu = x.mean(axis=-1, keepdims=True)
-        var = np.mean((x - mu) ** 2, axis=-1, keepdims=True)
-        return (x - mu) / np.sqrt(var + 1e-5) * gain + bias
+            out = x * x
+            scale = np.add.reduce(out, axis=-1, keepdims=True)
+            scale /= x.shape[-1]
+            scale += 1e-5
+            np.divide(x, np.sqrt(scale, out=scale), out=out)
+            out *= gain
+            return out
+        out = x - x.mean(axis=-1, keepdims=True)
+        scale = np.mean(out ** 2, axis=-1, keepdims=True)
+        scale += 1e-5
+        out /= np.sqrt(scale, out=scale)
+        out *= gain
+        out += self.state[prefix + ".bias"]
+        return out
 
-    def _qkv_heads(self, prefix: str, x: np.ndarray) -> tuple:
+    def _qkv_heads(self, names: dict, x: np.ndarray) -> tuple:
         """Project ``x`` to per-head Q/K/V, each ``(batch, heads, seq, head_dim)``."""
         cfg = self.config
         batch, seq_len, _ = x.shape
@@ -262,9 +277,9 @@ class InferenceModel:
         def split(t):
             return t.reshape(batch, seq_len, cfg.n_heads, cfg.head_dim).transpose(0, 2, 1, 3)
 
-        return (split(self._linear(f"{prefix}.q_proj", x)),
-                split(self._linear(f"{prefix}.k_proj", x)),
-                split(self._linear(f"{prefix}.v_proj", x)))
+        return (split(self._linear(names["q_proj"], x)),
+                split(self._linear(names["k_proj"], x)),
+                split(self._linear(names["v_proj"], x)))
 
     def _attend(self, scores: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Masked scores -> softmax -> context, heads merged: ``(batch, seq, d_model)``."""
@@ -274,13 +289,12 @@ class InferenceModel:
         return context.transpose(0, 2, 1, 3).reshape(batch, seq_len, self.config.d_model)
 
     def _attention(self, index: int, x: np.ndarray) -> np.ndarray:
-        cfg = self.config
-        _, seq_len, _ = x.shape
-        prefix = f"blocks.{index}.attention"
-        q, k, v = self._qkv_heads(prefix, x)
-        scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(cfg.head_dim)
-        scores = scores + causal_mask(seq_len)
-        return self._linear(f"{prefix}.out_proj", self._attend(scores, v))
+        names = self._names[index]
+        q, k, v = self._qkv_heads(names, x)
+        scores = q @ k.transpose(0, 1, 3, 2)
+        scores /= self._attention_scale
+        scores += causal_mask(x.shape[1])
+        return self._linear(names["out_proj"], self._attend(scores, v))
 
     def _attention_step(self, index: int, x: np.ndarray, cache, groups: list) -> np.ndarray:
         """Append the step's K/V to ``cache``, then attend each group over its context.
@@ -290,17 +304,19 @@ class InferenceModel:
         the quantised K/V of its own chunk, as a whole prefill's queries do.
         """
         cfg = self.config
-        prefix = f"blocks.{index}.attention"
-        q = self._linear(f"{prefix}.q_proj", x)
-        k = self._linear(f"{prefix}.k_proj", x)
-        v = self._linear(f"{prefix}.v_proj", x)
+        names = self._names[index]
+        q = self._linear(names["q_proj"], x)
+        k = self._linear(names["k_proj"], x)
+        v = self._linear(names["v_proj"], x)
         for group in groups:
             cache.append(index, group.rows, group.heads(k), group.heads(v))
         merged = np.empty_like(x) if len(groups) > 1 else None
         for group in groups:
             k_ctx, v_ctx = cache.context(index, group.read, group.context_len)
-            scores = group.queries(q) @ k_ctx.transpose(0, 1, 3, 2) / np.sqrt(cfg.head_dim)
-            scores += group.mask  # in place: a second scores array would raise the heap's peak
+            scores = group.queries(q) @ k_ctx.transpose(0, 1, 3, 2)
+            # in place: a second scores array would raise the heap's peak
+            scores /= self._attention_scale
+            scores += group.mask
             context = self._attend(scores, v_ctx)
             if group.members is not None:
                 context = context[group.members]
@@ -308,18 +324,18 @@ class InferenceModel:
                 merged = context.reshape(x.shape)
             else:
                 merged[group.take] = context.reshape(-1, cfg.d_model)
-        return self._linear(f"{prefix}.out_proj", merged)
+        return self._linear(names["out_proj"], merged)
 
     def _mlp(self, index: int, x: np.ndarray) -> np.ndarray:
-        prefix = f"blocks.{index}.mlp"
+        names = self._names[index]
         if self.config.uses_gated_mlp:
-            gate = self._linear(f"{prefix}.gate_proj", x)
-            up = self._linear(f"{prefix}.up_proj", x)
-            hidden = self.scheme.nonlinear_fn("silu", gate) * up
-            return self._linear(f"{prefix}.down_proj", hidden)
-        hidden = self._linear(f"{prefix}.fc1", x)
+            gate = self._linear(names["gate_proj"], x)
+            hidden = self._linear(names["up_proj"], x)
+            hidden *= self.scheme.nonlinear_fn("silu", gate)  # silu(gate) * up, in up's array
+            return self._linear(names["down_proj"], hidden)
+        hidden = self._linear(names["fc1"], x)
         hidden = self.scheme.nonlinear_fn(self.config.activation, hidden)
-        return self._linear(f"{prefix}.fc2", hidden)
+        return self._linear(names["fc2"], hidden)
 
     def _token_batch(self, tokens) -> np.ndarray:
         """``(batch, seq)`` int64 ids; raises on an id a lookup would wrap or overrun."""
@@ -340,9 +356,9 @@ class InferenceModel:
         x = self.state["token_embedding.weight"][tokens] + self.state["position_embedding.weight"][
             np.arange(seq_len)
         ]
-        for i in range(self.config.n_layers):
-            x = x + self._attention(i, self._norm(f"blocks.{i}.attn_norm", x))
-            x = x + self._mlp(i, self._norm(f"blocks.{i}.mlp_norm", x))
+        for i, names in enumerate(self._names):
+            x = x + self._attention(i, self._norm(names["attn_norm"], x))
+            x = x + self._mlp(i, self._norm(names["mlp_norm"], x))
         x = self._norm("final_norm", x)
         return self._linear("lm_head", x)
 
@@ -408,10 +424,9 @@ class InferenceModel:
             raise ValueError(f"context of {context_len} positions exceeds max_seq_len {limit}")
         x = self.state["token_embedding.weight"][ids.ravel()] + \
             self.state["position_embedding.weight"][positions.ravel()]
-        for i in range(self.config.n_layers):
-            x = x + self._attention_step(i, self._norm(f"blocks.{i}.attn_norm", x),
-                                         cache, groups)
-            x = x + self._mlp(i, self._norm(f"blocks.{i}.mlp_norm", x))
+        for i, names in enumerate(self._names):
+            x = x + self._attention_step(i, self._norm(names["attn_norm"], x), cache, groups)
+            x = x + self._mlp(i, self._norm(names["mlp_norm"], x))
         x = self._norm("final_norm", x)
         logits = self._linear("lm_head", x)
         for group in groups:
@@ -446,6 +461,17 @@ class InferenceModel:
         log_probs = log_softmax(logits, axis=-1)
         picked = np.take_along_axis(log_probs, targets[..., None], axis=-1)[..., 0]
         return float(-picked.mean())
+
+
+def _block_names(index: int) -> dict:
+    """State-dict prefixes of decoder block ``index``, keyed by their last part."""
+    block = f"blocks.{index}"
+    names = {"attn_norm": f"{block}.attn_norm", "mlp_norm": f"{block}.mlp_norm"}
+    names.update((kind, f"{block}.attention.{kind}")
+                 for kind in ("q_proj", "k_proj", "v_proj", "out_proj"))
+    names.update((kind, f"{block}.mlp.{kind}")
+                 for kind in ("gate_proj", "up_proj", "down_proj", "fc1", "fc2"))
+    return names
 
 
 class _StepGroup:

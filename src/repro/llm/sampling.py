@@ -45,5 +45,12 @@ def sample_token(logits: np.ndarray, temperature: float = 0.0, top_k: int = 0,
     except FloatingPointError:
         # so small a temperature overflows float64: its limit is greedy
         return int(np.argmax(logits))
-    probabilities /= probabilities.sum()
-    return int(rng.choice(probabilities.size, p=probabilities))
+    total = probabilities.sum()
+    if np.isnan(total):  # NaN or +inf logits; Generator.choice raises the same
+        raise ValueError("Probabilities contain NaN")
+    probabilities /= total
+    # the inverse-CDF draw Generator.choice(p=) makes, without its validation:
+    # the same token from the same generator state
+    cdf = np.cumsum(probabilities, out=probabilities)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))

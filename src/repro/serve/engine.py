@@ -106,11 +106,12 @@ class Request:
     bounds the continuation; ``arrival_time`` is the submission instant on
     the engine clock (0 = available immediately).  Sampling parameters
     mirror :class:`~repro.llm.generation.GenerationConfig`; ``stop_token``
-    optionally terminates generation early when sampled.  ``deadline`` is an
-    absolute engine-clock instant: a request still queued past it is timed
-    out without ever touching the cache, and an admitted one (prefilling or
-    decoding) is finished with reason ``"timeout"`` at the first step
-    boundary past it.
+    (an integer id, which :meth:`ServeEngine.submit` checks against the
+    vocabulary) optionally terminates generation early when sampled.
+    ``deadline`` is an absolute engine-clock instant: a request still queued
+    past it is timed out without ever touching the cache, and an admitted one
+    (prefilling or decoding) is finished with reason ``"timeout"`` at the
+    first step boundary past it.
     """
 
     request_id: int
@@ -144,6 +145,10 @@ class Request:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
         if not (math.isfinite(self.temperature) and self.temperature >= 0):
             raise ValueError(f"temperature must be finite and >= 0, got {self.temperature!r}")
+        # a non-integer one never equals a sampled id, and True equals id 1
+        if self.stop_token is not None and (not isinstance(self.stop_token, (int, np.integer))
+                                            or isinstance(self.stop_token, bool)):
+            raise TypeError(f"stop_token must be an integer id or None, got {self.stop_token!r}")
         if self.deadline is not None and not np.isfinite(self.deadline):
             raise ValueError("deadline must be a finite clock instant (or None)")
 
@@ -436,9 +441,13 @@ class ServeEngine:
                 f"queue, cancellation and completion records, so every request "
                 f"submitted to one engine must carry a distinct id"
             )
+        vocab = self.model.config.vocab_size
         prompt = np.asarray(request.prompt_tokens)
-        if prompt.min() < 0 or prompt.max() >= self.model.config.vocab_size:
+        if prompt.min() < 0 or prompt.max() >= vocab:
             raise ValueError("prompt contains token ids outside the model vocabulary")
+        if request.stop_token is not None and not 0 <= request.stop_token < vocab:
+            raise ValueError(f"stop_token {request.stop_token} lies outside the model "
+                             f"vocabulary [0, {vocab})")
         window = min(self.cache.max_seq_len, self.model.config.max_seq_len)
         if len(request.prompt_tokens) > window:
             raise ValueError(

@@ -161,6 +161,12 @@ class PagedKVCache:
                           else np.zeros((self.batch_size, blocks_per_slot), dtype=np.int64))
         # positions each table covers, so append tests every row at once
         self._covered = np.zeros(self.batch_size, dtype=np.int64)
+        # the current forward's write and read plans, keyed by the rows' ids
+        # plus the token count or the context length: every layer of a
+        # forward addresses the same positions, so its first layer computes
+        # them and the others reuse them (see append and context)
+        self._writes = {}
+        self._reads = {}
 
     def __repr__(self) -> str:
         return (f"PagedKVCache(batch_size={self.batch_size}, max_seq_len={self.max_seq_len}, "
@@ -227,6 +233,7 @@ class PagedKVCache:
 
     def _ensure_capacity(self, row: int, upto: int) -> None:
         """Grow ``row``'s block table to cover positions ``[0, upto)``."""
+        self._drop_plans()  # all allocation, and every page move, happens here
         table = self._tables[row]
         while len(table) * self.page_size < upto:
             page = len(table)
@@ -237,6 +244,11 @@ class PagedKVCache:
         self._covered[row] = len(table) * self.page_size
 
     # ------------------------------------------------------------ read/write
+    def _drop_plans(self) -> None:
+        """Forget the current forward's plans: a length or a block table changed."""
+        self._writes.clear()
+        self._reads.clear()
+
     def _quantize_rows(self, k_new: np.ndarray, v_new: np.ndarray) -> tuple:
         """Every row's appended K/V, fake-quantised along ``head_dim``, position-major.
 
@@ -257,7 +269,9 @@ class PagedKVCache:
         if quantizer is None:
             return k_pos, v_pos
         if self._batch_separable:
-            kv = quantizer.quantize_dequantize(np.stack((k_pos, v_pos)), axis=-1)
+            kv = np.empty((2,) + k_pos.shape)
+            kv[0], kv[1] = k_pos, v_pos
+            kv = quantizer.quantize_dequantize(kv, axis=-1)
             return kv[0], kv[1]
         return (np.stack([quantizer.quantize_dequantize(k, axis=-1)
                           for k in k_new]).transpose(0, 2, 1, 3),
@@ -270,15 +284,32 @@ class PagedKVCache:
         ``k_new`` / ``v_new`` have shape ``(len(rows), n_heads, n_new,
         head_dim)``.  The write offset is ``lengths[row]`` — every layer of
         one forward step appends at the same offset; :meth:`advance` moves the
-        offsets once the step has run all layers.  Pages are allocated on
-        demand when the first layer of a step writes past a table's coverage
-        (one vectorised test per call; the allocation happens exactly once
-        per step), values are quantise-dequantised along ``head_dim`` when a
-        quantiser is configured (see :meth:`_quantize_rows`), and every row
-        and position is then written with one fancy-index scatter per side.
+        offsets once the step has run all layers.  Values are
+        quantise-dequantised along ``head_dim`` when a quantiser is configured
+        (see :meth:`_quantize_rows`), and every row and position is then
+        written with one fancy-index scatter per side.
+
+        The addresses come from a *write plan* that the first layer's call
+        for ``rows`` and ``n_new`` makes and the other layers reuse: the
+        capacity check, allocation of the pages the step writes past a
+        table's coverage, and each position's block and offset.  Plans last
+        until :meth:`advance` or a block-table change (page allocation or
+        move, :meth:`reset`, :meth:`begin_request`), so a reused plan holds
+        exactly what recomputing it would.
         """
         rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
         n_new = k_new.shape[2]
+        key = rows.tobytes(), n_new
+        plan = self._writes.get(key)
+        if plan is None:
+            plan = self._writes[key] = self._write_plan(rows, n_new)
+        k_q, v_q = self._quantize_rows(k_new, v_new)
+        # (rows, n_new) index pairs select (rows, n_new, heads, head_dim) slabs
+        self.pool.k_store[layer][plan] = k_q
+        self.pool.v_store[layer][plan] = v_q
+
+    def _write_plan(self, rows: np.ndarray, n_new: int) -> tuple:
+        """``(blocks, offsets)`` of ``rows``' next ``n_new`` positions, their pages allocated."""
         starts = self._lengths[rows]
         ends = starts + n_new
         if (ends > self.max_seq_len).any():
@@ -290,12 +321,8 @@ class PagedKVCache:
         if short.any():
             for row, end in zip(rows[short].tolist(), ends[short].tolist()):
                 self._ensure_capacity(row, end)
-        k_q, v_q = self._quantize_rows(k_new, v_new)
         pages, within = np.divmod(starts[:, None] + np.arange(n_new), self.page_size)
-        blocks = self._page_ids[rows[:, None], pages]
-        # (rows, n_new) index pairs select (rows, n_new, heads, head_dim) slabs
-        self.pool.k_store[layer][blocks, within] = k_q
-        self.pool.v_store[layer][blocks, within] = v_q
+        return self._page_ids[rows[:, None], pages], within
 
     def context(self, layer: int, rows, context_len: int) -> tuple:
         """Read ``(k, v)`` of shape ``(len(rows), n_heads, context_len, head_dim)``.
@@ -312,8 +339,29 @@ class PagedKVCache:
         inner strides.  Rows shorter than ``context_len`` carry stale tail
         values the caller must mask (the causal mask of ``forward_step``
         does).
+
+        Like :meth:`append`, the first layer's call for ``rows`` and
+        ``context_len`` makes a *read plan* — the page ids and the
+        view-or-gather decision — that the other layers reuse until
+        :meth:`advance` or a block-table change.
         """
         rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
+        key = rows.tobytes(), context_len
+        plan = self._reads.get(key)
+        if plan is None:
+            plan = self._reads[key] = self._read_plan(rows, context_len)
+        if isinstance(plan, slice):
+            k = self._k_slots[layer][plan, :context_len]
+            v = self._v_slots[layer][plan, :context_len]
+        else:
+            shape = (len(rows), plan.shape[1] * self.page_size, self.config.n_heads,
+                     self.config.head_dim)
+            k = self.pool.k_store[layer][plan].reshape(shape)[:, :context_len]
+            v = self.pool.v_store[layer][plan].reshape(shape)[:, :context_len]
+        return k.transpose(0, 2, 1, 3), v.transpose(0, 2, 1, 3)
+
+    def _read_plan(self, rows: np.ndarray, context_len: int):
+        """The slots ``lo:hi`` to read as a view of the pool, or else the blocks to gather."""
         if not 0 <= context_len <= self.max_seq_len:
             raise ValueError(
                 f"context_len must be in [0, {self.max_seq_len}], got {context_len}")
@@ -323,26 +371,27 @@ class PagedKVCache:
         hi = lo + len(rows)
         if (self._home_ids is not None and lo >= 0
                 and np.array_equal(blocks, self._home_ids[lo:hi, :pages])):
-            k = self._k_slots[layer][lo:hi, :context_len]
-            v = self._v_slots[layer][lo:hi, :context_len]
-        else:
-            shape = (len(rows), pages * self.page_size, self.config.n_heads,
-                     self.config.head_dim)
-            k = self.pool.k_store[layer][blocks].reshape(shape)[:, :context_len]
-            v = self.pool.v_store[layer][blocks].reshape(shape)[:, :context_len]
-        return k.transpose(0, 2, 1, 3), v.transpose(0, 2, 1, 3)
+            return slice(lo, hi)
+        return blocks
 
     def advance(self, rows, n_new: int) -> None:
-        """Commit ``n_new`` appended positions of ``rows`` (once per forward step)."""
+        """Commit ``n_new`` appended positions of ``rows`` (once per forward step).
+
+        Ends the forward: the write and read plans of :meth:`append` and
+        :meth:`context` are dropped, as the next forward addresses new
+        positions.
+        """
         rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
         if n_new < 0:
             raise ValueError(f"advance by a negative count ({n_new})")
-        if np.any(self._lengths[rows] + n_new > self.max_seq_len):
+        if rows.size and self._lengths[rows].max() + n_new > self.max_seq_len:
             raise ValueError("advance past the cache capacity")
         self._lengths[rows] += n_new
+        self._drop_plans()
 
     def reset(self, rows=None) -> None:
         """Release ``rows``' pages (all slots by default) without indexing them."""
+        self._drop_plans()
         targets = (range(self.batch_size) if rows is None
                    else np.atleast_1d(np.asarray(rows, dtype=np.int64)))
         for row in targets:
@@ -373,6 +422,7 @@ class PagedKVCache:
         engine's prefill covers only ``tokens[matched:]``.  Returns the
         number of reused prefix tokens (0 on a miss).
         """
+        self._drop_plans()
         if self._tables[row]:
             self.reset(rows=[row])
         matched = self.index.match(tokens, max_tokens=len(tokens) - 1)

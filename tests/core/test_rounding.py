@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bbfp import BBFPConfig, bbfp_quantize_dequantize, quantize_bbfp
+from repro.core.block_kernel import BlockKernel
 from repro.core.blockfp import BFPConfig, bfp_quantize_dequantize, quantize_bfp
 from repro.core.rounding import RoundingMode, round_magnitudes, rounding_from_name
+from repro.quant import get_quantizer
 
 
 class TestRoundingFromName:
@@ -139,3 +141,26 @@ class TestQuantiserIntegration:
     def test_rounding_mode_participates_in_config_equality(self):
         assert BFPConfig(4) != BFPConfig(4, rounding=RoundingMode.TRUNCATE)
         assert BBFPConfig(4, 2) == BBFPConfig(4, 2, rounding=RoundingMode.NEAREST)
+
+
+class TestExactTies:
+    """``NEAREST`` is ``np.rint``: a code exactly halfway between two rounds to the even one."""
+
+    @pytest.mark.parametrize("spec, encode, step", [
+        # a block max of 1.75 sets the shared exponent: -2 for BBFP(4,2), whose
+        # low group steps by 2**(-2 - 3); 0 for bfp8, which steps by 2**(0 - 7)
+        ("BBFP(4,2)", quantize_bbfp, 2.0 ** -5),
+        ("bfp8", quantize_bfp, 2.0 ** -7),
+    ], ids=["BBFP(4,2)", "bfp8"])
+    def test_encoder_and_fused_kernel_round_ties_to_even(self, spec, encode, step):
+        config = get_quantizer(spec).config
+        ties = np.array([0.5, 1.5, 2.5, 3.5])
+        x = np.zeros(config.block_size)
+        x[0] = 1.75
+        x[1:5], x[5:9] = ties * step, -ties * step
+        rounded = np.array([0.0, 2.0, 2.0, 4.0]) * step
+        expected = x.copy()
+        expected[1:5], expected[5:9] = rounded, -rounded
+        np.testing.assert_array_equal(encode(x, config).dequantize(), expected)
+        np.testing.assert_array_equal(BlockKernel(config).quantize_dequantize(x), expected)
+        np.testing.assert_array_equal(get_quantizer(spec).quantize_dequantize(x), expected)

@@ -147,6 +147,11 @@ class TestRoutes:
                                  {"max_new_tokens": float("nan")},
                                  {"seed": -1},
                                  {"temperature": 0.8, "top_k": 2.5})],
+                # stop tokens that never stopped a request, or stopped it at
+                # another id (true at id 1, 37.0 at id 37)
+                *[await post_raw(host, port, "/v1/generate",
+                                 json.dumps({"prompt_tokens": [1], "stop_token": stop}).encode())
+                  for stop in ("a", 2.7, -5, 10**9, True, 37.0)],
                 await post_raw(host, port, "/v1/cancel/banana", b""),
                 # post_raw computes the length itself: these need raw bytes
                 await exchange(host, port, b"POST /v1/generate HTTP/1.1\r\n"

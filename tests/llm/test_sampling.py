@@ -71,6 +71,31 @@ class TestSampleToken:
                 rng = np.random.default_rng(0)
                 assert sample_token(logits, temperature=temperature, rng=rng) == 1
 
+    @pytest.mark.parametrize("logits, top_k", [([np.nan, 1.0, 2.0], 0),
+                                               ([np.inf, 1.0, 2.0], 0),
+                                               ([np.inf, 1.0, 2.0], 2)])
+    def test_nan_probabilities_raise_as_generator_choice_does(self, logits, top_k):
+        # an unchecked inverse-CDF draw returns token 0 for each of these
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError,
+                                                          match="Probabilities contain NaN"):
+            sample_token(np.array(logits), temperature=1.0, top_k=top_k,
+                         rng=np.random.default_rng(0))
+
+    def test_draws_match_generator_choice(self):
+        # sample_token draws by the inverse CDF that Generator.choice(p=) runs
+        # internally: the same token from the same generator state, which it
+        # leaves in the same state
+        meta = np.random.default_rng(2024)
+        for _ in range(1_000):
+            seed = int(meta.integers(2**32))
+            temperature = float(meta.choice([0.05, 0.5, 0.8, 1.0, 3.0]))
+            top_k = int(meta.choice([0, 1, 2, 16, 64]))
+            logits = meta.standard_normal(64) * float(meta.choice([0.5, 4.0, 20.0]))
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert (sample_token(logits, temperature, top_k, ours)
+                    == _choice_draw(logits, temperature, top_k, theirs))
+            assert ours.random() == theirs.random()
+
     def test_top_k_restricts_the_support(self):
         logits = np.array([10.0, 9.0, -50.0, -60.0])
         rng = np.random.default_rng(0)
@@ -85,3 +110,14 @@ class TestSampleToken:
         second = [sample_token(logits, temperature=1.0, rng=rng_b) for _ in range(8)]
         assert first == second
         assert len(set(first)) > 1  # a real draw sequence, not a constant
+
+
+def _choice_draw(logits, temperature, top_k, rng) -> int:
+    """The draw ``sample_token`` reproduces: ``Generator.choice`` over its probabilities."""
+    scaled = logits / temperature
+    if 0 < top_k < scaled.size:
+        cutoff = np.partition(scaled, -top_k)[-top_k]
+        scaled = np.where(scaled >= cutoff, scaled, -np.inf)
+    probabilities = np.exp(log_softmax(scaled))
+    probabilities /= probabilities.sum()
+    return int(rng.choice(probabilities.size, p=probabilities))

@@ -232,6 +232,22 @@ class TestValidation:
         assert numpy_ints.projected_tokens == 4
         assert Request(request_id=0, prompt_tokens=[np.int64(7), 8]).prompt_tokens == (7, 8)
 
+    def test_stop_token_must_be_an_integer_id_in_the_vocabulary(self, tiny_inference_model):
+        # each was stored and never stopped a request ("a", 2.7, -5, 10**9) or
+        # stopped it at another id (True at id 1, 37.0 at id 37)
+        for stop in ("a", 2.7, 37.0, True, np.float64(3.0)):
+            with pytest.raises(TypeError, match="stop_token"):
+                Request(request_id=0, prompt_tokens=(1,), stop_token=stop)
+        engine = make_engine(tiny_inference_model)
+        vocab = tiny_inference_model.config.vocab_size
+        for stop in (-5, vocab, 10**9):
+            with pytest.raises(ValueError, match="stop_token"):
+                engine.submit(Request(request_id=0, prompt_tokens=(1,), stop_token=stop))
+        assert engine.queue_depth == 0
+        for request_id, stop in enumerate((0, np.int64(vocab - 1), None)):
+            engine.submit(Request(request_id=request_id, prompt_tokens=(1,), stop_token=stop))
+        assert engine.queue_depth == 3
+
     @pytest.mark.parametrize("field", ["max_batch_size", "token_budget", "max_seq_len",
                                        "kv_page_size", "num_kv_blocks"])
     def test_non_integer_engine_sizes_rejected(self, tiny_inference_model, field):

@@ -217,6 +217,111 @@ class TestPackedStep:
         np.testing.assert_array_equal(cache.lengths, [0, 0])
 
 
+class _NoPlans(dict):
+    """A plan store that never hands a plan back: every call computes its own."""
+
+    def get(self, key, default=None):
+        return default
+
+
+class TestPlanReuse:
+    """Layers after the first reuse each group's write and read plan.
+
+    Every case runs its steps twice, with plans reused and with reuse off,
+    and needs the same logits and the same bytes in every page.
+    """
+
+    @staticmethod
+    def _run(model, steps, reuse):
+        cache = PagedKVCache(model.config, batch_size=3, kv_spec="BBFP(4,2)",
+                             page_size=PAGE_SIZE)
+        if not reuse:
+            cache._writes, cache._reads = _NoPlans(), _NoPlans()
+        logits = steps(model, cache)
+        pages = [store.copy() for store in cache.pool.k_store + cache.pool.v_store]
+        return logits, pages
+
+    def _check(self, model, steps):
+        reused, reused_pages = self._run(model, steps, reuse=True)
+        fresh, fresh_pages = self._run(model, steps, reuse=False)
+        assert len(reused) == len(fresh)
+        for got, want in zip(reused, fresh):
+            for got_row, want_row in zip(got, want):
+                np.testing.assert_array_equal(got_row, want_row)
+        for got, want in zip(reused_pages, fresh_pages):
+            np.testing.assert_array_equal(got, want)
+
+    @staticmethod
+    def _moved_prefix_page(model, cache):
+        """A chunk's page allocation moves a prefix page an earlier group's slot holds."""
+        rng = np.random.default_rng(11)
+        vocab = model.config.vocab_size
+        prefix = rng.integers(0, vocab, size=2 * PAGE_SIZE + 1)
+        logits = [model.forward_step(prefix[None, :], cache, rows=[2])]
+        # its two full pages stay in the index, on slot 2's home blocks
+        cache.retire_request(2, prefix.tolist())
+        prompt = np.concatenate([prefix[:2 * PAGE_SIZE], rng.integers(0, vocab, size=3)])
+        reused = cache.begin_request(0, prompt.tolist())
+        assert reused == 2 * PAGE_SIZE
+        logits.append(model.forward_step(prompt[None, reused:], cache, rows=[0]))
+        logits.append(model.forward_step(rng.integers(0, vocab, size=(1, 5)), cache, rows=[1]))
+        shared = cache._tables[0][:2]
+        assert shared == cache._home_ids[2, :2].tolist()
+        # decode rows 0 and 1 form the first group; slot 2's chunk allocates its
+        # home blocks, so the shared pages move and slot 0's table is repointed
+        logits.append(model.forward_step(
+            [rng.integers(0, vocab, size=1), rng.integers(0, vocab, size=1),
+             rng.integers(0, vocab, size=5)], cache, rows=[0, 1, 2]))
+        assert cache._tables[0][:2] != shared
+        for _ in range(3):
+            logits.append(model.forward_step(rng.integers(0, vocab, size=(3, 1)), cache))
+        return logits
+
+    @staticmethod
+    def _readmitted_row(model, cache):
+        """Two forwards over the same rows, with row 1 reset and begun again between them."""
+        rng = np.random.default_rng(12)
+        vocab = model.config.vocab_size
+        prompt = rng.integers(0, vocab, size=3 * PAGE_SIZE + 1).tolist()
+        logits = [model.forward_step(rng.integers(0, vocab, size=(1, 7)), cache, rows=[0]),
+                  model.forward_step(np.array([prompt]), cache, rows=[1])]
+        cache.commit_prefix(1, prompt)
+        logits.append(model.forward_step(rng.integers(0, vocab, size=(2, 1)), cache,
+                                         rows=[0, 1]))
+        cache.reset([1])
+        # one token left to prefill: the next forward has the last one's shape
+        reused = cache.begin_request(1, prompt[:2 * PAGE_SIZE + 1])
+        assert reused == 2 * PAGE_SIZE
+        for _ in range(3):
+            logits.append(model.forward_step(rng.integers(0, vocab, size=(2, 1)), cache,
+                                             rows=[0, 1]))
+        return logits
+
+    def test_page_moved_by_a_later_group_mid_forward(self, tiny_inference_model):
+        self._check(tiny_inference_model, self._moved_prefix_page)
+
+    def test_row_reset_and_begun_between_forwards(self, tiny_inference_model):
+        self._check(tiny_inference_model, self._readmitted_row)
+
+    def test_read_follows_a_page_moved_by_another_rows_allocation(self, tiny_inference_model):
+        # forward_step reads only after every group has appended; a direct
+        # caller may read, let another row allocate, and read again
+        model = tiny_inference_model
+        cache = PagedKVCache(model.config, batch_size=3, page_size=PAGE_SIZE)
+        prefix = np.arange(1, 2 * PAGE_SIZE + 2)
+        model.forward_step(prefix[None, :], cache, rows=[2])
+        cache.retire_request(2, prefix.tolist())
+        assert cache.begin_request(0, prefix.tolist()) == 2 * PAGE_SIZE
+        before = [np.array(side) for side in cache.context(0, [0], 2 * PAGE_SIZE)]
+        shared = cache._tables[0][:2]
+        new = np.ones((1, model.config.n_heads, 2 * PAGE_SIZE, model.config.head_dim))
+        cache.append(0, [2], new, new)  # claims slot 2's home blocks: the prefix pages move
+        assert cache._tables[0][:2] != shared
+        after = cache.context(0, [0], 2 * PAGE_SIZE)
+        for old, moved in zip(before, after):
+            np.testing.assert_array_equal(old, moved)
+
+
 class TestErrors:
     def test_overflow_beyond_capacity_raises(self, tiny_inference_model):
         cache = PagedKVCache(tiny_inference_model.config, batch_size=1, max_seq_len=6,
