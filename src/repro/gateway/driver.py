@@ -34,7 +34,7 @@ from typing import Optional
 from repro.gateway import session as session_states
 from repro.gateway.session import Session, terminal_state_for
 from repro.gateway.shedding import AdmissionGate, ShedConfig
-from repro.obs import Counter, NullMetric, Observability
+from repro.obs import Observability
 from repro.serve.engine import Request
 
 __all__ = ["GatewayConfig", "Gateway", "GatewayDraining"]
@@ -100,23 +100,17 @@ class Gateway:
         # gateway_* counters and the engine_* series (one /metrics scrape)
         self.obs = obs if obs is not None else engine.obs
         self._tracer = self.obs.tracer
-        registry = self.obs.registry
-        labels = self.obs.labels
         # session counts by outcome, read by /stats and /metrics
-        self.counters = {}
-        for key, help_text in (
-            ("submitted", "Sessions opened (admitted or shed)"),
-            ("completed", "Sessions that finished generation"),
-            ("shed", "Sessions refused or displaced by the admission gate"),
-            ("cancelled", "Sessions cancelled by the client or at drain"),
-            ("timed_out", "Sessions that hit their deadline"),
-        ):
-            name = f"gateway_{key}_total"
-            counter = registry.counter(name, help_text, labels)
-            if isinstance(counter, NullMetric):
-                # a disabled registry does not count, and /stats still must
-                counter = Counter(name, help_text)
-            self.counters[key] = counter
+        self.counters = {
+            key: self.obs.counter(f"gateway_{key}_total", help_text)
+            for key, help_text in (
+                ("submitted", "Sessions opened (admitted or shed)"),
+                ("completed", "Sessions that finished generation"),
+                ("shed", "Sessions refused or displaced by the admission gate"),
+                ("cancelled", "Sessions cancelled by the client or at drain"),
+                ("timed_out", "Sessions that hit their deadline"),
+            )
+        }
         engine.on_admit = self._on_admit
         engine.on_token = self._on_token
 
@@ -173,7 +167,8 @@ class Gateway:
         The returned session is already ``SHED`` when the admission gate
         refused it (the server maps that to 429 without ever touching the
         engine).  Validation failures — bad token ids, prompts beyond the
-        positional window — raise ``ValueError`` before any state changes.
+        positional window — raise ``ValueError`` before the gate decides or
+        any state changes: a request that can never succeed is not shed.
         """
         if self.draining:
             raise GatewayDraining("gateway is draining; not accepting new requests")
@@ -193,10 +188,11 @@ class Gateway:
             stop_token=stop_token,
             deadline=now + timeout_s if timeout_s is not None else None,
         )
+        self.engine.validate(request)
         decision = self.gate.decide(self.engine, request, now)
         session = Session(request, created_at=now)
         if decision.admit:
-            self.engine.submit(request)     # may raise ValueError: nothing changed yet
+            self.engine.submit(request)
         self._next_id += 1
         self.sessions[request.request_id] = session
         self.counters["submitted"].inc()

@@ -17,6 +17,10 @@ be intercepted:
 
 Norms, residual additions and embeddings stay in floating point, matching the
 paper's accelerator (the FP adder / FP encoder path in Fig. 7).
+
+One block implementation serves :meth:`InferenceModel.forward` (whole sequences,
+no cache: perplexity, calibration, Fig. 3) and :meth:`InferenceModel.forward_step`
+(serving, over a paged KV cache), both on packed ``(tokens, d_model)`` rows.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ import numpy as np
 from repro.core.fp_formats import fp16_round
 from repro.llm import activations as ref_act
 from repro.llm.activations import log_softmax
-from repro.llm.attention import causal_mask
 from repro.llm.config import ModelConfig
 
 __all__ = ["QuantizationScheme", "InferenceModel", "LINEAR_LAYER_KINDS"]
@@ -69,8 +72,8 @@ class QuantizationScheme:
         the reduction axis (axis 0).
     activation_fn:
         ``(layer_name, activation) -> activation_hat`` fake-quantiser; the
-        activation has shape ``(..., in_features)`` and should be quantised
-        along the last axis.
+        activation has shape ``(tokens, in_features)`` and should be
+        quantised along the last axis.
     softmax_fn:
         Replacement for the attention softmax (``(scores, axis) -> probs``).
     nonlinear_fn:
@@ -212,6 +215,8 @@ class InferenceModel:
     def record_activations(self, layer_kinds=LINEAR_LAYER_KINDS):
         """Context manager collecting linear-layer inputs keyed by layer name.
 
+        Each layer call records its packed ``(tokens, in_features)`` input.
+
         Example
         -------
         >>> with model.record_activations(("q_proj", "fc1")) as records:  # doctest: +SKIP
@@ -222,14 +227,13 @@ class InferenceModel:
 
     # --------------------------------------------------------------- helpers
     def _linear(self, name: str, x: np.ndarray) -> np.ndarray:
-        """``x @ W + b`` as one 2-D GEMM over all rows and positions of ``x``.
+        """``x @ W + b`` as one 2-D GEMM over the packed ``(tokens, in)`` rows ``x``.
 
-        numpy runs a stacked ``(rows, 1, in) @ (in, out)`` as one GEMV per row,
-        reading ``W`` once per row; flattened, a decode step reads it once.  A
-        batched row's logits may then differ in the last bits from the row alone
-        (BLAS sums in a row-count-dependent order).  Padding a lone row would
-        not make them exact, as attention reduces over the batch's longest
-        context, and costs 8-16% per batch-1 step: tokens stay batch-invariant.
+        A decode step reads ``W`` once for its whole batch.  A batched row's
+        logits may differ in the last bits from the row alone (BLAS sums in a
+        row-count-dependent order).  Padding a lone row would not make them
+        exact, as attention reduces over the batch's longest context, and
+        costs 8-16% per batch-1 step: tokens stay batch-invariant.
         """
         if self._recorder is not None and name.rsplit(".", 1)[-1] in self._recorder.layer_kinds:
             self._recorder.records.setdefault(name, []).append(np.array(x, copy=True))
@@ -241,11 +245,7 @@ class InferenceModel:
         weight, bias, quantize = self._weight_cache[name]
         if quantize:
             x = self.scheme.activation_fn(name, x)
-        if x.ndim == 2:  # forward_step's packed tokens: already the GEMM's rows
-            out = x @ weight
-        else:
-            out = (x.reshape(-1, weight.shape[0]) @ weight).reshape(x.shape[:-1]
-                                                                   + weight.shape[1:])
+        out = x @ weight
         if bias is not None:
             out += bias
         return out
@@ -269,18 +269,6 @@ class InferenceModel:
         out += self.state[prefix + ".bias"]
         return out
 
-    def _qkv_heads(self, names: dict, x: np.ndarray) -> tuple:
-        """Project ``x`` to per-head Q/K/V, each ``(batch, heads, seq, head_dim)``."""
-        cfg = self.config
-        batch, seq_len, _ = x.shape
-
-        def split(t):
-            return t.reshape(batch, seq_len, cfg.n_heads, cfg.head_dim).transpose(0, 2, 1, 3)
-
-        return (split(self._linear(names["q_proj"], x)),
-                split(self._linear(names["k_proj"], x)),
-                split(self._linear(names["v_proj"], x)))
-
     def _attend(self, scores: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Masked scores -> softmax -> context, heads merged: ``(batch, seq, d_model)``."""
         attn = self.scheme.softmax_fn(scores, axis=-1)
@@ -288,31 +276,29 @@ class InferenceModel:
         batch, _, seq_len, _ = context.shape
         return context.transpose(0, 2, 1, 3).reshape(batch, seq_len, self.config.d_model)
 
-    def _attention(self, index: int, x: np.ndarray) -> np.ndarray:
-        names = self._names[index]
-        q, k, v = self._qkv_heads(names, x)
-        scores = q @ k.transpose(0, 1, 3, 2)
-        scores /= self._attention_scale
-        scores += causal_mask(x.shape[1])
-        return self._linear(names["out_proj"], self._attend(scores, v))
-
     def _attention_step(self, index: int, x: np.ndarray, cache, groups: list) -> np.ndarray:
-        """Append the step's K/V to ``cache``, then attend each group over its context.
+        """Attend each group over its context: ``cache``'s, or its own new K/V.
 
         ``x`` is ``(tokens, d_model)``, every row's new positions packed in row
-        order.  Every group appends before any group reads, so each query sees
-        the quantised K/V of its own chunk, as a whole prefill's queries do.
+        order.  With a cache, every group appends its K/V before any group
+        reads, so each query sees the quantised K/V of its own chunk, as a
+        whole prefill's queries do.  With ``cache=None`` (:meth:`forward`)
+        each group's context is the unquantised K/V of its own tokens.
         """
         cfg = self.config
         names = self._names[index]
         q = self._linear(names["q_proj"], x)
         k = self._linear(names["k_proj"], x)
         v = self._linear(names["v_proj"], x)
-        for group in groups:
-            cache.append(index, group.rows, group.heads(k), group.heads(v))
+        if cache is not None:
+            for group in groups:
+                cache.append(index, group.rows, group.heads(k), group.heads(v))
         merged = np.empty_like(x) if len(groups) > 1 else None
         for group in groups:
-            k_ctx, v_ctx = cache.context(index, group.read, group.context_len)
+            if cache is None:
+                k_ctx, v_ctx = group.heads(k), group.heads(v)
+            else:
+                k_ctx, v_ctx = cache.context(index, group.read, group.context_len)
             scores = group.queries(q) @ k_ctx.transpose(0, 1, 3, 2)
             # in place: a second scores array would raise the heap's peak
             scores /= self._attention_scale
@@ -344,23 +330,40 @@ class InferenceModel:
             raise ValueError(f"token ids must lie in the vocabulary [0, {self.config.vocab_size})")
         return tokens
 
+    def _logits(self, ids: np.ndarray, positions: np.ndarray, groups: list, cache) -> np.ndarray:
+        """``(tokens, vocab)`` logits of the tokens ``ids`` at absolute ``positions``.
+
+        ``groups`` partition the packed tokens for :meth:`_attention_step`.
+        """
+        x = self.state["token_embedding.weight"][ids.ravel()] + \
+            self.state["position_embedding.weight"][positions.ravel()]
+        for i, names in enumerate(self._names):
+            x = x + self._attention_step(i, self._norm(names["attn_norm"], x), cache, groups)
+            x = x + self._mlp(i, self._norm(names["mlp_norm"], x))
+        x = self._norm("final_norm", x)
+        return self._linear("lm_head", x)
+
     # ---------------------------------------------------------------- public
     def forward(self, tokens: np.ndarray) -> np.ndarray:
-        """Return logits ``(batch, seq, vocab)`` for integer ``tokens``."""
+        """Return logits ``(batch, seq, vocab)`` for integer ``tokens``.
+
+        :meth:`forward_step`'s blocks without a cache: the batch is one
+        attention group, each row attending causally over its own tokens.
+        """
         tokens = self._token_batch(tokens)
-        _, seq_len = tokens.shape
+        batch, seq_len = tokens.shape
+        if not tokens.size:
+            raise ValueError(f"forward needs a non-empty token batch, got shape {tokens.shape}")
         if seq_len > self.config.max_seq_len:
             raise ValueError(
                 f"sequence length {seq_len} exceeds max_seq_len {self.config.max_seq_len}"
             )
-        x = self.state["token_embedding.weight"][tokens] + self.state["position_embedding.weight"][
-            np.arange(seq_len)
-        ]
-        for i, names in enumerate(self._names):
-            x = x + self._attention(i, self._norm(names["attn_norm"], x))
-            x = x + self._mlp(i, self._norm(names["mlp_norm"], x))
-        x = self._norm("final_norm", x)
-        return self._linear("lm_head", x)
+        positions = np.broadcast_to(np.arange(seq_len), tokens.shape)
+        rows = np.arange(batch)
+        group = _StepGroup(rows, rows.tolist(), None, positions, None,
+                           (self.config.n_heads, self.config.head_dim))
+        logits = self._logits(tokens, positions, [group], None)
+        return logits.reshape(tokens.shape + logits.shape[-1:])
 
     def forward_step(self, tokens, cache, rows=None):
         """Incremental forward: embed only the new ``tokens``, attend over ``cache``.
@@ -387,9 +390,10 @@ class InferenceModel:
 
         Returns logits ``(batch, n_new, vocab)`` for the new positions of a
         rectangular batch, and a list of ``(n_i, vocab)`` arrays for ragged
-        rows.  A fresh cache plus one call over a whole prompt computes exactly
-        :meth:`forward`; subsequent single-token calls continue it in O(1)
-        forward cost per token instead of re-running the full prefix.
+        rows.  A fresh unquantised cache plus one call over a whole prompt
+        runs :meth:`forward`'s blocks, giving its logits up to rounding (K/V
+        are read back in the cache's layout); subsequent single-token calls
+        continue it in O(1) forward cost per token instead of re-running it.
         """
         ids, counts = self._step_tokens(tokens)
         batch = len(counts)
@@ -422,13 +426,7 @@ class InferenceModel:
         limit = min(cache.max_seq_len, self.config.max_seq_len)
         if context_len > limit:
             raise ValueError(f"context of {context_len} positions exceeds max_seq_len {limit}")
-        x = self.state["token_embedding.weight"][ids.ravel()] + \
-            self.state["position_embedding.weight"][positions.ravel()]
-        for i, names in enumerate(self._names):
-            x = x + self._attention_step(i, self._norm(names["attn_norm"], x), cache, groups)
-            x = x + self._mlp(i, self._norm(names["mlp_norm"], x))
-        x = self._norm("final_norm", x)
-        logits = self._linear("lm_head", x)
+        logits = self._logits(ids, positions, groups, cache)
         for group in groups:
             cache.advance(group.rows, group.n_new)
         if ids.ndim == 2:
@@ -475,7 +473,7 @@ def _block_names(index: int) -> dict:
 
 
 class _StepGroup:
-    """Rows of one ``forward_step`` that attend together, ``n_new`` tokens each.
+    """Rows of one ``forward`` or ``forward_step`` that attend together, ``n_new`` tokens each.
 
     ``take`` selects the group's tokens in the step's packed token axis
     (``None``: all of them, in order).
@@ -490,7 +488,10 @@ class _StepGroup:
     __slots__ = ("rows", "n_new", "take", "shape", "read", "members", "context_len", "mask")
 
     def __init__(self, rows, slots, take, positions, lengths, heads):
-        """``positions``: ``(rows, n_new)`` absolute positions of the group's new tokens."""
+        """``positions``: ``(rows, n_new)`` absolute positions of the group's new tokens.
+
+        ``lengths`` (slot lengths) is read only for one-token rows of scattered slots.
+        """
         self.rows, self.take = rows, take
         self.n_new = positions.shape[1]
         self.shape = positions.shape + heads
@@ -500,9 +501,8 @@ class _StepGroup:
         if self.n_new == 1 and slots != list(range(lo, lo + len(slots))):
             self.read, self.members = np.arange(lo, max(slots) + 1), rows - lo
             positions = lengths[self.read][:, None]
-        # Causal mask over a cached context: key j is visible to the query at
-        # absolute position p iff j <= p.  causal_mask's 0 / -1e9 values, so a
-        # prefill on a fresh cache reproduces the forward() numerics.
+        # Causal mask: key j is visible to the query at absolute position p
+        # iff j <= p; 0 / -1e9, the training path's causal_mask values.
         self.mask = (np.arange(self.context_len) > positions[:, None, :, None]) * -1e9
 
     def heads(self, t: np.ndarray) -> np.ndarray:

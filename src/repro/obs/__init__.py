@@ -86,6 +86,15 @@ class Observability:
         """An inert bundle: null registry, no tracer/profiler/recorder."""
         return cls()
 
+    def counter(self, name: str, help: str = "", **labels) -> Counter:
+        """The registry's counter under this bundle's labels plus ``labels``.
+
+        A null registry gives a standalone :class:`Counter`, so an owner that
+        reads counts back (a report, ``/stats``) has them with metrics off.
+        """
+        counter = self.registry.counter(name, help, dict(self.labels, **labels))
+        return Counter(name, help) if isinstance(counter, NullMetric) else counter
+
     @property
     def is_enabled(self) -> bool:
         """Whether any instrument is live."""

@@ -377,33 +377,31 @@ class ServeEngine:
         self._free_slots = sorted(range(self.config.max_batch_size), reverse=True)
         self._completed = []
         self._seen_ids = set()
-        self._steps = 0
-        self._prefill_tokens = 0
-        self._decode_tokens = 0
-        self._reused_tokens = 0
         self._peak_active = 0
-        self._cancelled = 0
-        self._timed_out = 0
         # observability: metrics are resolved ONCE here and updated by plain
-        # attribute arithmetic; with a disabled bundle every self._m_* is the
-        # shared no-op metric, the tracer is None (one `is not None` test per
-        # terminal record) and no profiler wraps any method — the
-        # pay-for-what-you-use contract.
+        # attribute arithmetic; with a disabled bundle the counters (which
+        # report() reads) still count, gauges and histograms are the no-op
+        # metric, the tracer is None (one `is not None` test per terminal
+        # record) and no profiler wraps any method — pay for what you use.
         self.obs = obs if obs is not None else Observability.disabled()
         self._tracer = self.obs.tracer
         if self.obs.profiler is not None:
             self.obs.profiler.attach(self)
+        self._m_prefill = self.obs.counter(
+            "engine_prefill_tokens_total", "Prompt tokens actually prefilled")
+        self._m_decode = self.obs.counter(
+            "engine_decode_tokens_total", "Tokens generated by batched decode")
+        self._m_reused = self.obs.counter(
+            "engine_reused_tokens_total", "Prompt tokens adopted from cached prefixes")
+        self._m_steps = self.obs.counter("engine_steps_total", "Scheduler iterations")
+        self._m_finished = {
+            reason: self.obs.counter("engine_requests_finished_total",
+                                     "Terminal request records by finish reason",
+                                     reason=reason)
+            for reason in OK_FINISH_REASONS + ("cancelled", "timeout")
+        }
         registry = self.obs.registry
         labels = self.obs.labels
-        self._m_prefill = registry.counter(
-            "engine_prefill_tokens_total", "Prompt tokens actually prefilled", labels)
-        self._m_decode = registry.counter(
-            "engine_decode_tokens_total", "Tokens generated by batched decode", labels)
-        self._m_reused = registry.counter(
-            "engine_reused_tokens_total",
-            "Prompt tokens adopted from cached prefixes", labels)
-        self._m_steps = registry.counter(
-            "engine_steps_total", "Scheduler iterations", labels)
         self._m_queue_depth = registry.gauge(
             "engine_queue_depth", "Requests waiting for admission", labels)
         self._m_active = registry.gauge(
@@ -415,17 +413,10 @@ class ServeEngine:
         self._m_latency = registry.histogram(
             "engine_request_latency_seconds",
             "Arrival to terminal record, completed requests", labels)
-        self._m_finished = {
-            reason: registry.counter(
-                "engine_requests_finished_total",
-                "Terminal request records by finish reason",
-                dict(labels, reason=reason))
-            for reason in OK_FINISH_REASONS + ("cancelled", "timeout")
-        }
 
     # ------------------------------------------------------------ submission
     def submit(self, request: Request, not_before: Optional[float] = None) -> None:
-        """Queue a request (validated against the model and cache limits).
+        """Queue a request (:meth:`validate` first).
 
         ``not_before`` optionally floors the admission instant below which
         the request may not be scheduled, without touching the request's own
@@ -435,6 +426,15 @@ class ServeEngine:
         held at the router until a network partition heals — so a request can
         never be admitted before the router could have delivered it.
         """
+        self.validate(request)
+        available = (request.arrival_time if not_before is None
+                     else max(request.arrival_time, float(not_before)))
+        heapq.heappush(self._queue, (available, self._submit_seq, request))
+        self._submit_seq += 1
+        self._seen_ids.add(request.request_id)
+
+    def validate(self, request: Request) -> None:
+        """Raise ``ValueError`` if this engine can never serve ``request``; changes nothing."""
         if request.request_id in self._seen_ids:
             raise ValueError(
                 f"duplicate request id {request.request_id}: ids key the engine's "
@@ -467,11 +467,6 @@ class ServeEngine:
                 f"({request.projected_tokens}) exceed the engine token budget "
                 f"({self.token_budget})"
             )
-        available = (request.arrival_time if not_before is None
-                     else max(request.arrival_time, float(not_before)))
-        heapq.heappush(self._queue, (available, self._submit_seq, request))
-        self._submit_seq += 1
-        self._seen_ids.add(request.request_id)
 
     @property
     def has_work(self) -> bool:
@@ -490,11 +485,6 @@ class ServeEngine:
     def queued_requests(self) -> list:
         """Waiting requests in admission order (the shedding policies' view)."""
         return [request for _, _, request in sorted(self._queue)]
-
-    @property
-    def active_request_ids(self) -> frozenset:
-        """Ids of the requests currently holding a cache slot."""
-        return frozenset(state.request.request_id for state in self._active.values())
 
     def active_requests(self) -> list:
         """Requests currently holding a cache slot, in slot order."""
@@ -530,13 +520,13 @@ class ServeEngine:
     @property
     def kv_hit_rate(self) -> float:
         """Running fraction of prompt tokens served from cached prefixes."""
-        seen = self._reused_tokens + self._prefill_tokens
-        return self._reused_tokens / seen if seen else 0.0
+        seen = self._m_reused.value + self._m_prefill.value
+        return self._m_reused.value / seen if seen else 0.0
 
     @property
     def reused_tokens(self) -> int:
         """Prompt tokens adopted from cached prefixes so far."""
-        return self._reused_tokens
+        return self._m_reused.value
 
     @property
     def peak_pages_in_use(self) -> int:
@@ -576,12 +566,10 @@ class ServeEngine:
             if request.request_id == request_id:
                 del self._queue[index]
                 heapq.heapify(self._queue)
-                self._cancelled += 1
                 return self._record_queued_termination(request, "cancelled")
         for state in self._active.values():
             if state.request.request_id == request_id:
                 state.finish_reason = "cancelled"
-                self._cancelled += 1
                 return self._release(state, index_pages=False)
         raise KeyError(
             f"request id {request_id} is not queued or active on this engine "
@@ -622,7 +610,6 @@ class ServeEngine:
         heapq.heapify(self._queue)
         records = []
         for _arrival, _seq, request in sorted(expired):
-            self._timed_out += 1
             records.append(self._record_queued_termination(request, "timeout"))
         return records
 
@@ -671,10 +658,8 @@ class ServeEngine:
             if (state.finish_reason is None and deadline is not None
                     and deadline < finish_time):
                 state.finish_reason = "timeout"
-                self._timed_out += 1
             if state.finish_reason is not None:
                 completed_now.append(self._release(state, finish_time))
-        self._steps += 1
         self._m_steps.inc()
         self._m_queue_depth.set(len(self._queue))
         self._m_active.set(len(self._active))
@@ -736,7 +721,6 @@ class ServeEngine:
                 return None
             if request.deadline is not None and request.deadline < now:
                 heapq.heappop(self._queue)
-                self._timed_out += 1
                 completed_now.append(self._record_queued_termination(request, "timeout"))
                 continue
             if (self.active_projected_tokens + request.projected_tokens > self.token_budget
@@ -757,7 +741,6 @@ class ServeEngine:
             # adopt the longest cached prefix; prefill computes the rest
             reused = self.cache.begin_request(slot, prompt)
             state.pending = np.array(prompt[reused:], dtype=np.int64)
-            self._reused_tokens += reused
             self._m_reused.inc(reused)
             return state
         return None
@@ -794,8 +777,6 @@ class ServeEngine:
             else:
                 prefilled += len(chunk)
                 self.cache.commit_prefix(state.slot, state.request.prompt_tokens)
-        self._decode_tokens += decoded
-        self._prefill_tokens += prefilled
         self._m_decode.inc(decoded)
         self._m_prefill.inc(prefilled)
         self.clock.on_tokens(decoded + prefilled)
@@ -890,7 +871,7 @@ class ServeEngine:
         for request in requests or ():
             self.submit(request)
         while self.has_work:
-            if max_steps is not None and self._steps >= max_steps:
+            if max_steps is not None and self._m_steps.value >= max_steps:
                 raise RuntimeError(
                     f"engine did not drain within {max_steps} steps "
                     f"({len(self._active)} active, {len(self._queue)} queued)"
@@ -902,17 +883,17 @@ class ServeEngine:
         return ServeReport(
             completed=list(self._completed),
             elapsed_s=self.clock.now(),
-            steps=self._steps,
-            prefill_tokens=self._prefill_tokens,
-            decode_tokens=self._decode_tokens,
+            steps=self._m_steps.value,
+            prefill_tokens=self._m_prefill.value,
+            decode_tokens=self._m_decode.value,
             kv_spec=self.cache.kv_spec,
             peak_active=self._peak_active,
-            reused_tokens=self._reused_tokens,
+            reused_tokens=self._m_reused.value,
             kv_page_size=self.cache.page_size,
             peak_pages_in_use=self.cache.peak_pages_in_use,
             kv_peak_memory_bits=self.cache.peak_memory_bits(),
-            cancelled=self._cancelled,
-            timed_out=self._timed_out,
+            cancelled=self._m_finished["cancelled"].value,
+            timed_out=self._m_finished["timeout"].value,
         )
 
     # ----------------------------------------------------------------- audit

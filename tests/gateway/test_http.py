@@ -415,6 +415,32 @@ class TestSheddingOverHttp:
         assert queued_status == 200        # the queued request still completed
         assert stats["shed"] == 1 and stats["kv_leaked_pages"] == 0
 
+    def test_unservable_request_gets_400_not_429_under_overload(
+            self, tiny_inference_model):
+        # a shed client retries, and these requests could never succeed
+        async def scenario():
+            config = GatewayConfig(load_factor=1e-9, drain_timeout_s=5.0)  # sheds all
+            server = make_server(tiny_inference_model, gateway_config=config)
+            await server.start()
+            host, port = server.host, server.port
+            replies = [await post_raw(host, port, "/v1/generate", json.dumps(payload).encode())
+                       for payload in ({"prompt_tokens": [1000000]},
+                                       {"prompt_tokens": [1], "stop_token": -5},
+                                       {"prompt_tokens": [1] * 20, "max_new_tokens": 60},
+                                       {"prompt_tokens": [1, 2]})]
+            _status, stats = await get(host, port, "/stats")
+            await shutdown(server)
+            return replies, stats
+
+        replies, stats = asyncio.run(scenario())
+        *unservable, (status, headers, _body) = replies
+        for (bad_status, bad_headers, body), error in zip(
+                unservable, ("vocabulary", "stop_token", "capacity")):
+            assert bad_status == 400 and "retry-after" not in bad_headers
+            assert error in body["error"]
+        assert status == 429 and headers.get("retry-after") == "1"
+        assert stats["submitted"] == stats["shed"] == 1
+
     def test_draining_server_rejects_generates_and_fails_healthz(
             self, tiny_inference_model):
         async def scenario():

@@ -104,13 +104,17 @@ class TestInferenceModel:
     @pytest.mark.parametrize("name", ["blocks.0.attention.q_proj", "blocks.1.mlp.down_proj",
                                       "lm_head"])
     def test_linear_is_one_gemm_over_all_rows(self, bench_shaped_model, name, batch):
-        # A decode step's (batch, 1, in) input must be one GEMM, reading the
-        # weight once: numpy's stacked matmul would make one GEMV per row,
-        # whose bits differ from the GEMM's on these shapes.
+        # A decode step's packed (batch, in) rows must be one GEMM, reading the
+        # weight once: one GEMV per row would sum in another order, whose bits
+        # differ from the GEMM's on these shapes.
         weight = bench_shaped_model.state[f"{name}.weight"]
-        x = np.random.default_rng(batch).standard_normal((batch, 1, weight.shape[0]))
-        expected = (x.reshape(-1, weight.shape[0]) @ weight).reshape(batch, 1, -1)
-        assert np.array_equal(bench_shaped_model._linear(name, x), expected)
+        x = np.random.default_rng(batch).standard_normal((batch, weight.shape[0]))
+        assert np.array_equal(bench_shaped_model._linear(name, x), x @ weight)
+
+    @pytest.mark.parametrize("shape", [(0, 5), (2, 0), (0, 0)])
+    def test_empty_batch_or_sequence_rejected(self, tiny_inference_model, shape):
+        with pytest.raises(ValueError, match="non-empty"):
+            tiny_inference_model.forward(np.zeros(shape, dtype=np.int64))
 
     def test_nll_reasonable(self, tiny_inference_model, small_corpus):
         batch = next(small_corpus.sequential_batches("valid", 2, 24, max_batches=1))
@@ -118,13 +122,14 @@ class TestInferenceModel:
         assert 0 < nll < np.log(small_corpus.vocab_size) + 0.5
 
     def test_record_activations(self, tiny_inference_model, rng):
-        tokens = rng.integers(0, tiny_inference_model.config.vocab_size, size=(1, 8))
+        tokens = rng.integers(0, tiny_inference_model.config.vocab_size, size=(2, 8))
         with tiny_inference_model.record_activations(("q_proj", "gate_proj")) as records:
             tiny_inference_model.forward(tokens)
         assert any(name.endswith("q_proj") for name in records)
         assert any(name.endswith("gate_proj") for name in records)
-        sample = next(iter(records.values()))[0]
-        assert sample.shape[-1] == tiny_inference_model.config.d_model
+        # one packed (batch * seq, d_model) record per layer call
+        for tensors in records.values():
+            assert [t.shape for t in tensors] == [(2 * 8, tiny_inference_model.config.d_model)]
 
     def test_recorder_detached_after_context(self, tiny_inference_model):
         with tiny_inference_model.record_activations():

@@ -208,6 +208,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="budget"):
             engine.submit(Request(request_id=0, prompt_tokens=(1, 2, 3, 4), max_new_tokens=4))
 
+    def test_validate_checks_without_queueing(self, tiny_inference_model):
+        # the gateway validates before its admission gate decides
+        engine = make_engine(tiny_inference_model)
+        request = Request(request_id=0, prompt_tokens=(1, 2), max_new_tokens=2)
+        engine.validate(request)
+        engine.validate(request)  # never submitted, so not a duplicate
+        assert engine.queue_depth == 0
+        engine.submit(request)
+        with pytest.raises(ValueError, match="duplicate"):
+            engine.validate(request)
+
     def test_invalid_request_fields_rejected(self):
         with pytest.raises(ValueError, match="at least one token"):
             Request(request_id=0, prompt_tokens=(), max_new_tokens=2)
